@@ -6,7 +6,6 @@
 // design, so the sweeps here vary shards and batch size; run with more
 // threads on a multi-core box to measure fan-out speedup.
 
-#include <algorithm>
 #include <filesystem>
 #include <span>
 #include <vector>
@@ -37,16 +36,15 @@ const retail::Dataset& BenchDataset() {
   return *dataset;
 }
 
-// The dataset as a production stream: day-ordered, per-customer
-// chronological.
+// The dataset as a production stream: the serve-replay order
+// (TransactionStore::DayOrdered), copied into one contiguous batch source.
 const std::vector<retail::Receipt>& BenchStream() {
   static const std::vector<retail::Receipt>* stream = [] {
-    const auto all = BenchDataset().store().AllReceipts();
-    auto* replay = new std::vector<retail::Receipt>(all.begin(), all.end());
-    std::stable_sort(replay->begin(), replay->end(),
-                     [](const retail::Receipt& a, const retail::Receipt& b) {
-                       return a.day < b.day;
-                     });
+    auto* replay = new std::vector<retail::Receipt>;
+    for (const retail::Receipt* receipt :
+         BenchDataset().store().DayOrdered()) {
+      replay->push_back(*receipt);
+    }
     return replay;
   }();
   return *stream;

@@ -9,7 +9,6 @@
 //
 // Usage: streaming_monitor [beta]
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
@@ -43,15 +42,11 @@ churnlab::Status Run(double beta) {
   CHURNLAB_ASSIGN_OR_RETURN(api::FleetHandle fleet,
                             api::FleetHandle::Make(options, dataset));
 
-  // Replay the dataset as a production stream: receipts sorted by day,
-  // ingested one week per batch. (AllReceipts is (customer, day)-sorted;
-  // the stable sort keeps each customer's receipts chronological.)
-  const std::span<const api::Receipt> all = dataset.store().AllReceipts();
-  std::vector<api::Receipt> replay(all.begin(), all.end());
-  std::stable_sort(replay.begin(), replay.end(),
-                   [](const api::Receipt& a, const api::Receipt& b) {
-                     return a.day < b.day;
-                   });
+  // Replay the dataset as a production stream: receipts ordered by day
+  // (each customer's stay chronological), ingested one week per batch as
+  // gather views into the dataset.
+  const std::vector<const api::Receipt*> replay =
+      dataset.store().DayOrdered();
 
   size_t alerts_on_defectors = 0;
   size_t alerts_on_loyal = 0;
@@ -73,12 +68,12 @@ churnlab::Status Run(double beta) {
   };
 
   for (size_t begin = 0; begin < replay.size();) {
-    const api::Day batch_end = replay[begin].day + 7;
+    const api::Day batch_end = replay[begin]->day + 7;
     size_t end = begin;
-    while (end < replay.size() && replay[end].day < batch_end) ++end;
+    while (end < replay.size() && replay[end]->day < batch_end) ++end;
     CHURNLAB_ASSIGN_OR_RETURN(
         const api::BatchReport report,
-        fleet.IngestBatch(std::span<const api::Receipt>(
+        fleet.IngestBatch(std::span<const api::Receipt* const>(
             replay.data() + begin, end - begin)));
     for (const api::FleetAlert& alert : report.alerts) record(alert);
     begin = end;

@@ -70,6 +70,11 @@ Result<BatchReport> FleetHandle::IngestBatch(
   return fleet_.IngestBatch(receipts);
 }
 
+Result<BatchReport> FleetHandle::IngestBatch(
+    std::span<const Receipt* const> receipts) {
+  return fleet_.IngestBatch(receipts);
+}
+
 Result<BatchReport> FleetHandle::AdvanceAllTo(Day day) {
   return fleet_.AdvanceAllTo(day);
 }

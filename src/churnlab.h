@@ -186,6 +186,9 @@ class FleetHandle {
   /// chronological within and across batches. Alerts and reports are
   /// byte-identical for any thread count.
   Result<BatchReport> IngestBatch(std::span<const Receipt> receipts);
+  /// As above for a gather view — `receipts[i]` points at the i-th
+  /// receipt — such as a slice of `dataset.store().DayOrdered()`.
+  Result<BatchReport> IngestBatch(std::span<const Receipt* const> receipts);
 
   /// Closes all windows before the one containing `day` for every
   /// customer (models "no activity through day X").

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 
 namespace churnlab {
 namespace retail {
@@ -17,10 +19,12 @@ Status TransactionStore::Append(Receipt receipt) {
     return Status::InvalidArgument("receipt day must be >= 0, got " +
                                    std::to_string(receipt.day));
   }
-  std::sort(receipt.items.begin(), receipt.items.end());
-  receipt.items.erase(
-      std::unique(receipt.items.begin(), receipt.items.end()),
-      receipt.items.end());
+  std::vector<ItemId>& items = receipt.items;
+  if (std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<ItemId>()) != items.end()) {
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+  }
   if (!receipt.items.empty() && receipt.items.back() == kInvalidItem) {
     return Status::InvalidArgument("receipt contains kInvalidItem");
   }
@@ -42,13 +46,15 @@ Status TransactionStore::Append(Receipt receipt) {
 
 void TransactionStore::Finalize() {
   if (finalized_) return;
-  std::stable_sort(receipts_.begin(), receipts_.end(),
-                   [](const Receipt& a, const Receipt& b) {
-                     if (a.customer != b.customer) {
-                       return a.customer < b.customer;
-                     }
-                     return a.day < b.day;
-                   });
+  const auto by_customer_day = [](const Receipt& a, const Receipt& b) {
+    if (a.customer != b.customer) return a.customer < b.customer;
+    return a.day < b.day;
+  };
+  // SaveBinary writes (customer, day) order, so a loaded dataset pays only
+  // this check; a stable sort of sorted input would be the identity anyway.
+  if (!std::is_sorted(receipts_.begin(), receipts_.end(), by_customer_day)) {
+    std::stable_sort(receipts_.begin(), receipts_.end(), by_customer_day);
+  }
   customer_index_.clear();
   customers_sorted_.clear();
   size_t begin = 0;
@@ -82,6 +88,47 @@ const std::vector<CustomerId>& TransactionStore::Customers() const {
 std::span<const Receipt> TransactionStore::AllReceipts() const {
   assert(finalized_);
   return std::span<const Receipt>(receipts_.data(), receipts_.size());
+}
+
+std::vector<const Receipt*> TransactionStore::DayOrdered(
+    int64_t from_day, int64_t to_day) const {
+  assert(finalized_);
+  std::vector<const Receipt*> order;
+  order.reserve(receipts_.size());
+  Day low = std::numeric_limits<Day>::max();
+  Day high = 0;
+  for (const Receipt& receipt : receipts_) {
+    if (receipt.day < from_day || receipt.day >= to_day) continue;
+    order.push_back(&receipt);
+    low = std::min(low, receipt.day);
+    high = std::max(high, receipt.day);
+  }
+  // LSD radix sort on the 32-bit key day - low. Each pass is a stable
+  // counting sort on one digit, so the result is ordered by (day, store
+  // position); passes stop once the remaining digits of every key are zero
+  // (one pass for histories under 2^11 days).
+  constexpr int kDigitBits = 11;
+  constexpr uint32_t kDigitMask = (uint32_t{1} << kDigitBits) - 1;
+  const uint32_t max_key =
+      order.empty() ? 0 : static_cast<uint32_t>(high - low);
+  std::vector<const Receipt*> next;
+  std::vector<size_t> offsets;
+  for (int shift = 0; shift < 32 && (max_key >> shift) != 0;
+       shift += kDigitBits) {
+    const auto digit = [&](const Receipt* receipt) {
+      return (static_cast<uint32_t>(receipt->day - low) >> shift) &
+             kDigitMask;
+    };
+    offsets.assign(kDigitMask + 2, 0);
+    for (const Receipt* receipt : order) ++offsets[digit(receipt) + 1];
+    for (size_t d = 1; d < offsets.size(); ++d) offsets[d] += offsets[d - 1];
+    next.resize(order.size());
+    for (const Receipt* receipt : order) {
+      next[offsets[digit(receipt)]++] = receipt;
+    }
+    order.swap(next);
+  }
+  return order;
 }
 
 size_t TransactionStore::CountDistinctItems() const {

@@ -1,6 +1,8 @@
 #ifndef CHURNLAB_RETAIL_TRANSACTION_STORE_H_
 #define CHURNLAB_RETAIL_TRANSACTION_STORE_H_
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -15,7 +17,8 @@ namespace retail {
 /// \brief In-memory receipt store with per-customer chronological access.
 ///
 /// The store is append-then-read: receipts are appended in any order, then
-/// `Finalize()` sorts them by (customer, day) and builds the per-customer
+/// `Finalize()` sorts them by (customer, day) — a single O(n) check when
+/// they were appended in that order already — and builds the per-customer
 /// index. Reads before finalization fail. This two-phase design keeps the
 /// storage layout a single contiguous vector (cache-friendly scans) at the
 /// cost of no incremental updates — exactly what a batch attrition analysis
@@ -37,11 +40,14 @@ class TransactionStore {
   TransactionStore& operator=(const TransactionStore&) = delete;
 
   /// Appends one receipt. The item list is sorted and deduplicated (baskets
-  /// are item sets in this model). Fails if the store is already finalized,
-  /// the customer id is invalid, or the day is negative.
+  /// are item sets in this model) unless it is strictly ascending already.
+  /// Fails if the store is already finalized, the customer id is invalid,
+  /// or the day is negative.
   Status Append(Receipt receipt);
 
-  /// Sorts receipts and builds the customer index. Idempotent.
+  /// Stably sorts receipts by (customer, day) — skipped when they already
+  /// are in that order, as a binary dataset is — and builds the customer
+  /// index. Idempotent.
   void Finalize();
 
   bool finalized() const { return finalized_; }
@@ -59,6 +65,17 @@ class TransactionStore {
 
   /// All receipts sorted by (customer, day). Requires `finalized()`.
   std::span<const Receipt> AllReceipts() const;
+
+  /// The day-ordered replay stream: the receipts with `from_day <= day <
+  /// to_day`, ordered by (day, position in AllReceipts()). Each customer's
+  /// receipts therefore stay chronological, and same-day receipts of one
+  /// customer keep their store order. The bounds are 64-bit so callers can
+  /// pass unvalidated limits without truncation. Stable LSD radix sort on
+  /// the day: O(n) time and memory, independent of the day span. The
+  /// pointers stay valid while the store lives. Requires `finalized()`.
+  std::vector<const Receipt*> DayOrdered(
+      int64_t from_day = 0,
+      int64_t to_day = std::numeric_limits<int64_t>::max()) const;
 
   /// Earliest / latest receipt day; {0, -1} when empty.
   Day min_day() const { return min_day_; }

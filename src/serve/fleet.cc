@@ -200,6 +200,13 @@ void ScoringFleet::MapSymbols(const retail::Receipt& receipt,
 
 Result<BatchReport> ScoringFleet::IngestBatch(
     std::span<const retail::Receipt> receipts) {
+  std::vector<const retail::Receipt*> gathered(receipts.size());
+  for (size_t i = 0; i < receipts.size(); ++i) gathered[i] = &receipts[i];
+  return IngestBatch(std::span<const retail::Receipt* const>(gathered));
+}
+
+Result<BatchReport> ScoringFleet::IngestBatch(
+    std::span<const retail::Receipt* const> receipts) {
   CHURNLAB_SPAN("serve.ingest_batch");
   CHURNLAB_FAILPOINT("serve.ingest.batch");
   const ServeMetrics& metrics = Metrics();
@@ -210,7 +217,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
   const size_t num_shards = store_.num_shards();
   std::vector<std::vector<size_t>> by_shard(num_shards);
   for (size_t i = 0; i < receipts.size(); ++i) {
-    by_shard[store_.ShardOf(receipts[i].customer)].push_back(i);
+    by_shard[store_.ShardOf(receipts[i]->customer)].push_back(i);
   }
 
   std::vector<ShardOutput> outputs(num_shards);
@@ -235,7 +242,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
       const std::vector<size_t>& indices = by_shard[shard];
       while (out.progress < indices.size()) {
         const size_t batch_index = indices[out.progress];
-        const retail::Receipt& receipt = receipts[batch_index];
+        const retail::Receipt& receipt = *receipts[batch_index];
         if (receipt.customer == retail::kInvalidCustomer) {
           Status bad = Status::InvalidArgument(
               "batch receipt has an invalid customer id");
@@ -313,7 +320,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
       report.poisoned.push_back(PoisonedShard{shard, shard_health_[shard]});
       stats.rejected += by_shard[shard].size();
       for (const size_t batch_index : by_shard[shard]) {
-        const retail::Receipt& receipt = receipts[batch_index];
+        const retail::Receipt& receipt = *receipts[batch_index];
         report.rejected.push_back(RejectedReceipt{
             receipt.customer, batch_index, receipt.day,
             shard_health_[shard].WithContext("shard poisoned")});
@@ -331,7 +338,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
       stats.rejected += by_shard[shard].size() - out.progress;
       for (size_t i = out.progress; i < by_shard[shard].size(); ++i) {
         const size_t batch_index = by_shard[shard][i];
-        const retail::Receipt& receipt = receipts[batch_index];
+        const retail::Receipt& receipt = *receipts[batch_index];
         report.rejected.push_back(RejectedReceipt{
             receipt.customer, batch_index, receipt.day,
             out.status.WithContext("shard poisoned")});

@@ -183,12 +183,15 @@ class ScoringFleet {
   static Result<ScoringFleet> Make(FleetOptions options,
                                    const retail::Taxonomy* taxonomy);
 
-  /// Ingests one batch. Receipts of one customer must appear in
-  /// chronological order within the batch and across batches (the
-  /// per-customer stream contract of OnlineStabilityScorer::Observe);
-  /// receipts of distinct customers need no mutual order. Alerts are
-  /// sorted by (batch_index, customer, window_index, kind), so the report
-  /// is identical for any thread count.
+  /// Ingests one batch, given as a gather view: `receipts[i]` points at
+  /// the batch's i-th receipt, which may live anywhere (a day-ordered
+  /// replay points into TransactionStore::DayOrdered instead of copying
+  /// receipts). The pointees must stay alive for the call. Receipts of one
+  /// customer must appear in chronological order within the batch and
+  /// across batches (the per-customer stream contract of
+  /// OnlineStabilityScorer::Observe); receipts of distinct customers need
+  /// no mutual order. Alerts are sorted by (batch_index, customer,
+  /// window_index, kind), so the report is identical for any thread count.
   ///
   /// With quarantine_malformed (the default), malformed receipts land in
   /// the report's `rejected` list and the batch keeps going; with it off,
@@ -198,6 +201,10 @@ class ScoringFleet {
   /// FleetOptions::shard_retry; a shard that exhausts its retries is
   /// poisoned (reported in `poisoned`) and its unprocessed receipts — in
   /// this and every later batch — are quarantined.
+  Result<BatchReport> IngestBatch(
+      std::span<const retail::Receipt* const> receipts);
+  /// As above for a contiguous batch; batch_index is the position in
+  /// `receipts` either way.
   Result<BatchReport> IngestBatch(std::span<const retail::Receipt> receipts);
 
   /// Closes all windows before the one containing `day` for every known

@@ -158,6 +158,25 @@ if(found EQUAL -1)
   message(FATAL_ERROR "shard-task spans missing from dump")
 endif()
 
+# --- Huge --batch-days: one batch, no hang. ---------------------------------
+# 2^32 once truncated to a 0-day batch that never advanced; INT32_MAX past
+# a nonzero first day overflowed the batch end.
+foreach(batch_args "--batch-days;4294967296"
+        "--batch-days;2147483647;--from-day;5")
+  execute_process(COMMAND ${CLI} serve-replay --data ${DATASET} ${batch_args}
+                  RESULT_VARIABLE exit_code
+                  OUTPUT_VARIABLE output
+                  ERROR_VARIABLE errors
+                  TIMEOUT 30)
+  if(NOT exit_code EQUAL 0)
+    message(FATAL_ERROR
+      "serve-replay ${batch_args} failed (${exit_code}):\n${output}\n${errors}")
+  endif()
+  if(NOT output MATCHES "replayed [0-9]+ receipts in 1 batches")
+    message(FATAL_ERROR "serve-replay ${batch_args} did not use one batch:\n${output}")
+  endif()
+endforeach()
+
 # --- Flag validation. -------------------------------------------------------
 execute_process(COMMAND ${CLI} --telemetry-out ${WORK_DIR}/bad.jsonl
                         --telemetry-interval-ms 0

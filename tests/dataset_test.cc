@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
+
 namespace churnlab {
 namespace retail {
 namespace {
@@ -158,6 +160,57 @@ TEST(Dataset, BinaryRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectEquivalent(original, loaded.ValueOrDie());
   std::remove(path.c_str());
+}
+
+TEST(Dataset, LoadBinaryNormalizesHandBuiltFile) {
+  // SaveBinary always writes (customer, day) order and strictly ascending
+  // item deltas; a file written otherwise must still load as a sorted store
+  // of sorted item sets.
+  BinaryWriter writer;
+  writer.WriteVarint(0x43484C4231ULL);  // magic "CHLB1"
+  writer.WriteVarint(1);                // version
+  writer.WriteVarint(6);                // item dictionary
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    writer.WriteString(name);
+  }
+  writer.WriteVarint(0);  // departments
+  writer.WriteVarint(0);  // segments
+  writer.WriteVarint(0);  // item -> segment assignments
+  struct Row {
+    CustomerId customer;
+    Day day;
+    std::vector<uint64_t> deltas;
+  };
+  // Receipts out of (customer, day) order; zero deltas repeat an item, and
+  // a delta of 2^32 - 3 wraps to a smaller item id.
+  const std::vector<Row> rows = {
+      {7, 9, {2, 0, 3}},                // items 2, 2, 5
+      {3, 4, {5, 4294967293ULL, 0}},    // items 5, 2, 2
+      {7, 1, {0, 0, 1}},                // items 0, 0, 1
+  };
+  writer.WriteVarint(rows.size());
+  for (const Row& row : rows) {
+    writer.WriteVarint(row.customer);
+    writer.WriteSignedVarint(row.day);
+    writer.WriteDouble(1.0);
+    writer.WriteVarint(row.deltas.size());
+    for (const uint64_t delta : row.deltas) writer.WriteVarint(delta);
+  }
+  writer.WriteVarint(0);  // labels
+  const std::string path = testing::TempDir() + "/churnlab_handbuilt.clb";
+  ASSERT_TRUE(writer.SaveToFile(path).ok());
+  const auto loaded = Dataset::LoadBinary(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto all = loaded->store().AllReceipts();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].customer, 3u);
+  EXPECT_EQ(all[0].items, (std::vector<ItemId>{2, 5}));
+  EXPECT_EQ(all[1].customer, 7u);
+  EXPECT_EQ(all[1].day, 1);
+  EXPECT_EQ(all[1].items, (std::vector<ItemId>{0, 1}));
+  EXPECT_EQ(all[2].day, 9);
+  EXPECT_EQ(all[2].items, (std::vector<ItemId>{2, 5}));
 }
 
 TEST(Dataset, LoadBinaryRejectsGarbage) {

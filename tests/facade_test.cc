@@ -3,6 +3,7 @@
 // wiring the core directly.
 
 #include <algorithm>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -130,6 +131,56 @@ TEST(Facade, FleetHandleMatchesRawFleetAndRoundTripsSnapshot) {
   const api::BatchReport handle_tail = restored.FinishAll().ValueOrDie();
   const api::BatchReport raw_tail = raw.FinishAll().ValueOrDie();
   EXPECT_EQ(handle_tail.alerts.size(), raw_tail.alerts.size());
+}
+
+TEST(Facade, DayOrderedGatherReplayMatchesSortedCopy) {
+  const api::Dataset& dataset = TestDataset();
+  api::FleetOptions options;
+  options.scorer.window_span_days = 2 * api::kDaysPerMonth;
+  options.num_shards = 8;
+
+  // Oracle: a stable-sorted copy of the history, ingested contiguously.
+  const std::span<const api::Receipt> all = dataset.store().AllReceipts();
+  std::vector<api::Receipt> copy(all.begin(), all.end());
+  std::stable_sort(copy.begin(), copy.end(),
+                   [](const api::Receipt& a, const api::Receipt& b) {
+                     return a.day < b.day;
+                   });
+  const std::vector<const api::Receipt*> order = dataset.store().DayOrdered();
+  ASSERT_EQ(order.size(), copy.size());
+
+  auto oracle = serve::ScoringFleet::Make(options, &dataset.taxonomy())
+                    .ValueOrDie();
+  auto handle = api::FleetHandle::Make(options, dataset).ValueOrDie();
+  const size_t half = order.size() / 2;
+  for (const auto& [begin, end] :
+       {std::pair<size_t, size_t>{0, half}, {half, order.size()}}) {
+    const api::BatchReport expected =
+        oracle.IngestBatch(std::span<const api::Receipt>(copy.data() + begin,
+                                                         end - begin))
+            .ValueOrDie();
+    const api::BatchReport actual =
+        handle.IngestBatch(std::span<const api::Receipt* const>(
+                               order.data() + begin, end - begin))
+            .ValueOrDie();
+    EXPECT_EQ(actual.receipts_ingested, expected.receipts_ingested);
+    ASSERT_EQ(actual.alerts.size(), expected.alerts.size());
+    for (size_t i = 0; i < actual.alerts.size(); ++i) {
+      EXPECT_EQ(actual.alerts[i].customer, expected.alerts[i].customer);
+      EXPECT_EQ(actual.alerts[i].batch_index, expected.alerts[i].batch_index);
+      EXPECT_EQ(actual.alerts[i].alert.stability,
+                expected.alerts[i].alert.stability);
+    }
+  }
+  const std::string path = testing::TempDir() + "/facade_gather.snap";
+  ASSERT_TRUE(handle.SaveSnapshot(path).ok());
+  auto reader = BinaryReader::OpenFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(reader.ok());
+  BinaryWriter expected;
+  ASSERT_TRUE(oracle.SaveSnapshot(&expected).ok());
+  EXPECT_EQ(reader->ReadBytes(reader->remaining()).ValueOrDie(),
+            expected.buffer());
 }
 
 TEST(Facade, LoadDatasetValidatesPath) {

@@ -8,9 +8,12 @@
 //   4. Fleet alerts match a per-customer replay through raw
 //      core::StabilityMonitor instances (the fleet adds sharding and
 //      batching, never different math).
+//   5. A gather-view batch (pointers to receipts stored anywhere) ingests
+//      exactly like the same batch stored contiguously.
 
 #include <algorithm>
 #include <cstdio>
+#include <random>
 #include <span>
 #include <string>
 #include <tuple>
@@ -212,6 +215,77 @@ TEST(ServeDeterminism, CrossLayoutRestoreContinuesBitIdentically) {
   EXPECT_EQ(compact_to_heap.snapshot, uninterrupted.snapshot);
   EXPECT_EQ(heap_to_compact.alert_log, uninterrupted.alert_log);
   EXPECT_EQ(heap_to_compact.snapshot, uninterrupted.snapshot);
+}
+
+// Canonical text form of everything a BatchReport carries.
+std::string FormatReport(const BatchReport& report) {
+  std::string out = FormatAlerts(report.alerts);
+  out += "ingested=" + std::to_string(report.receipts_ingested) +
+         " new=" + std::to_string(report.new_customers) + "\n";
+  for (const RejectedReceipt& rejected : report.rejected) {
+    out += "rejected " + std::to_string(rejected.customer) + "@" +
+           std::to_string(rejected.batch_index) + " day " +
+           std::to_string(rejected.day) + ": " + rejected.reason.ToString() +
+           "\n";
+  }
+  for (const PoisonedShard& poisoned : report.poisoned) {
+    out += "poisoned " + std::to_string(poisoned.shard) + "\n";
+  }
+  return out;
+}
+
+TEST(ServeDeterminism, GatherViewMatchesContiguousBatches) {
+  // The contiguous stream, with one malformed receipt so rejections (and
+  // their batch_index) are compared too.
+  std::vector<Receipt> stream = ReplayStream();
+  Receipt malformed = stream[10];
+  malformed.customer = retail::kInvalidCustomer;
+  stream.insert(stream.begin() + 10, malformed);
+  // The same receipts stored in a permuted order, reached through pointers
+  // in stream order.
+  std::vector<size_t> slot(stream.size());
+  for (size_t i = 0; i < slot.size(); ++i) slot[i] = i;
+  std::shuffle(slot.begin(), slot.end(), std::mt19937(12345));
+  std::vector<Receipt> permuted(stream.size());
+  for (size_t i = 0; i < stream.size(); ++i) permuted[slot[i]] = stream[i];
+  std::vector<const Receipt*> gathered(stream.size());
+  for (size_t i = 0; i < stream.size(); ++i) gathered[i] = &permuted[slot[i]];
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const size_t shards : {size_t{1}, size_t{16}}) {
+      const FleetOptions options = TestOptions(threads, shards);
+      auto contiguous =
+          ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
+      auto gather =
+          ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
+      size_t rejected = 0;
+      for (size_t begin = 0; begin < stream.size();) {
+        const Day batch_end = stream[begin].day + kBatchDays;
+        size_t end = begin;
+        while (end < stream.size() && stream[end].day < batch_end) ++end;
+        const BatchReport expected =
+            contiguous
+                .IngestBatch(std::span<const Receipt>(stream.data() + begin,
+                                                      end - begin))
+                .ValueOrDie();
+        const BatchReport actual =
+            gather
+                .IngestBatch(std::span<const Receipt* const>(
+                    gathered.data() + begin, end - begin))
+                .ValueOrDie();
+        ASSERT_EQ(FormatReport(actual), FormatReport(expected))
+            << threads << " threads, " << shards << " shards, batch at "
+            << begin;
+        rejected += actual.rejected.size();
+        begin = end;
+      }
+      EXPECT_EQ(rejected, 1u);
+      EXPECT_EQ(FormatReport(gather.FinishAll().ValueOrDie()),
+                FormatReport(contiguous.FinishAll().ValueOrDie()));
+      EXPECT_EQ(SnapshotOf(gather), SnapshotOf(contiguous))
+          << threads << " threads, " << shards << " shards";
+    }
+  }
 }
 
 // Alert key used for the fleet vs raw-monitor cross-check: FinishAll alerts

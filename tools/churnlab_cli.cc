@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -471,20 +472,10 @@ Status RunServeReplay(int argc, const char* const* argv) {
   }
   CHURNLAB_RETURN_NOT_OK(fleet.status());
 
-  // Day-ordered replay. AllReceipts is (customer, day)-sorted; the stable
-  // sort by day keeps each customer's receipts chronological.
-  const std::span<const api::Receipt> all = dataset.store().AllReceipts();
-  std::vector<api::Receipt> replay;
-  replay.reserve(all.size());
-  for (const api::Receipt& receipt : all) {
-    if (receipt.day < from_day) continue;
-    if (to_day >= 0 && receipt.day >= to_day) continue;
-    replay.push_back(receipt);
-  }
-  std::stable_sort(replay.begin(), replay.end(),
-                   [](const api::Receipt& a, const api::Receipt& b) {
-                     return a.day < b.day;
-                   });
+  // Day-ordered replay: references into the dataset, ordered by (day,
+  // store position), so each customer's receipts stay chronological.
+  std::vector<const api::Receipt*> replay = dataset.store().DayOrdered(
+      from_day, to_day >= 0 ? to_day : std::numeric_limits<int64_t>::max());
   // --limit-receipts N cuts the stream after the server's Nth arrival
   // sequence number: a sequential flood client sends this exact ordering,
   // so the truncated replay is the fault-free oracle for a recovered
@@ -503,13 +494,16 @@ Status RunServeReplay(int argc, const char* const* argv) {
   bool mem_budget_warned = false;
   size_t batches = 0, receipts = 0, alerts = 0, rejected = 0, poisoned = 0;
   for (size_t begin = 0; begin < replay.size();) {
-    const api::Day batch_end =
-        replay[begin].day + static_cast<api::Day>(batch_days);
+    // A batch holds the days [first, first + batch_days); comparing the
+    // 64-bit distance from `first` never overflows or truncates.
+    const int64_t first_day = replay[begin]->day;
     size_t end = begin;
-    while (end < replay.size() && replay[end].day < batch_end) ++end;
+    while (end < replay.size() && replay[end]->day - first_day < batch_days) {
+      ++end;
+    }
     CHURNLAB_ASSIGN_OR_RETURN(
         const api::BatchReport report,
-        fleet->IngestBatch(std::span<const api::Receipt>(
+        fleet->IngestBatch(std::span<const api::Receipt* const>(
             replay.data() + begin, end - begin)));
     ++batches;
     receipts += report.receipts_ingested;
@@ -953,12 +947,7 @@ Status RunFlood(int argc, const char* const* argv) {
 
   // The same day-ordered stream serve-replay builds, so sequence numbers
   // line up between the live server and the offline oracle.
-  const std::span<const api::Receipt> all = dataset.store().AllReceipts();
-  std::vector<api::Receipt> replay(all.begin(), all.end());
-  std::stable_sort(replay.begin(), replay.end(),
-                   [](const api::Receipt& a, const api::Receipt& b) {
-                     return a.day < b.day;
-                   });
+  std::vector<const api::Receipt*> replay = dataset.store().DayOrdered();
   if (limit_receipts >= 0 &&
       static_cast<size_t>(limit_receipts) < replay.size()) {
     replay.resize(static_cast<size_t>(limit_receipts));
@@ -981,7 +970,7 @@ Status RunFlood(int argc, const char* const* argv) {
                                   replay.size() - sent);
     std::string body = "{\"receipts\":[";
     for (size_t i = 0; i < count; ++i) {
-      const api::Receipt& receipt = replay[sent + i];
+      const api::Receipt& receipt = *replay[sent + i];
       if (i > 0) body += ',';
       // %.17g round-trips every finite double exactly: the server must
       // parse the same spend bits the offline oracle reads from the
