@@ -39,8 +39,8 @@ for current in "${suites[@]}"; do
     continue
   fi
 
-  # One line per benchmark present in both documents:
-  #   <name> <baseline> <current>
+  # One line per current benchmark:
+  #   <name> <baseline|none> <current>
   # Memory benchmarks (BM_FleetMemory) run a single iteration and carry
   # their payload in the bytes_total counter, so drift is computed on bytes
   # held rather than single-shot wall time.
@@ -49,11 +49,14 @@ for current in "${suites[@]}"; do
                 then .counters.bytes_total else .real_ns_per_iter end;
     ($base.benchmarks | map({key: .name, value: metric}) | from_entries) as $b
     | $cur[0].benchmarks[]
-    | select($b[.name] != null)
-    | "\(.name) \($b[.name]) \(metric)"')
+    | "\(.name) \($b[.name] // "none") \(metric)"')
 
   while read -r name base_ns cur_ns; do
     [[ -n "${name}" ]] || continue
+    if [[ "${base_ns}" == "none" ]]; then
+      echo "~ ${suite} ${name}: no baseline"
+      continue
+    fi
     compared=$((compared + 1))
     verdict=$(jq -rn --argjson b "${base_ns}" --argjson c "${cur_ns}" \
                     --argjson t "${THRESHOLD}" '
@@ -68,15 +71,6 @@ for current in "${suites[@]}"; do
       echo "  ${suite} ${name}: ${pct}% drift"
     fi
   done <<< "${joined}"
-
-  new_series=$(jq -rn --argjson base "${baseline_json}" --slurpfile cur "${current}" '
-    ($base.benchmarks | map(.name)) as $names
-    | $cur[0].benchmarks[] | select(.name as $n | $names | index($n) | not) | .name')
-  if [[ -n "${new_series}" ]]; then
-    while read -r name; do
-      echo "~ ${suite} ${name}: new series; trajectory starts here"
-    done <<< "${new_series}"
-  fi
 done
 
 if [[ ${failures} -gt 0 ]]; then

@@ -91,18 +91,17 @@ Status FleetHandle::AppendSnapshot(const std::string& path) const {
 
 Result<FleetHandle> FleetHandle::Restore(const std::string& path,
                                          const Dataset& dataset,
-                                         size_t num_threads,
-                                         StateLayout layout) {
-  return OpenSnapshot(path, dataset, num_threads, layout);
+                                         size_t num_threads) {
+  return OpenSnapshot(path, dataset, num_threads);
 }
 
 Result<FleetHandle> OpenSnapshot(const std::string& path,
-                                 const Dataset& dataset, size_t num_threads,
-                                 StateLayout layout) {
+                                 const Dataset& dataset,
+                                 size_t num_threads) {
   CHURNLAB_ASSIGN_OR_RETURN(
       serve::ScoringFleet fleet,
       serve::ScoringFleet::RestoreFromFile(path, &dataset.taxonomy(),
-                                           num_threads, layout));
+                                           num_threads));
   return FleetHandle(std::move(fleet));
 }
 
@@ -110,7 +109,7 @@ Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
                                     const std::string& snapshot_path,
                                     FleetOptions fresh_options,
                                     const Dataset& dataset,
-                                    size_t num_threads, StateLayout layout) {
+                                    size_t num_threads) {
   serve::JournalOptions journal_options;
   journal_options.directory = journal_dir;
   journal_options.recover = true;
@@ -123,7 +122,7 @@ Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
       serve::ScoringFleet fleet,
       serve::ScoringFleet::Recover(recovery, snapshot_path,
                                    std::move(fresh_options),
-                                   &dataset.taxonomy(), num_threads, layout));
+                                   &dataset.taxonomy(), num_threads));
   recovery.frames.clear();
   recovery.frames.shrink_to_fit();
   return RecoveredFleet{FleetHandle(std::move(fleet)), std::move(recovery)};
@@ -152,7 +151,6 @@ Result<ServerHandle> ServerHandle::Recover(Options options,
                                            FleetOptions fleet_options,
                                            const Dataset& dataset,
                                            size_t num_threads,
-                                           StateLayout layout,
                                            JournalRecovery* recovery_out) {
   if (options.journal_dir.empty()) {
     return Status::InvalidArgument(
@@ -170,7 +168,7 @@ Result<ServerHandle> ServerHandle::Recover(Options options,
       serve::ScoringFleet fleet,
       serve::ScoringFleet::Recover(recovery, options.snapshot_path,
                                    std::move(fleet_options),
-                                   &dataset.taxonomy(), num_threads, layout));
+                                   &dataset.taxonomy(), num_threads));
   recovery.frames.clear();
   recovery.frames.shrink_to_fit();
   if (recovery_out != nullptr) *recovery_out = recovery;

@@ -131,12 +131,10 @@ using serve::CustomerQuery;
 using serve::FleetAlert;
 using serve::FleetHealth;
 using serve::FleetOptions;
-using serve::ParseStateLayout;
 using serve::PoisonedShard;
 using serve::RejectedReceipt;
 using serve::ShardHealthStats;
 using serve::StateLayout;
-using serve::StateLayoutToString;
 using serve::StateMemoryStats;
 /// Durable ingest journal (docs/ROBUSTNESS.md §Durability): the
 /// write-ahead log the HTTP server appends every coalesced batch to
@@ -162,8 +160,7 @@ class FleetHandle;
 struct RecoveredFleet;
 Result<RecoveredFleet> RecoverFleet(
     const std::string& journal_dir, const std::string& snapshot_path,
-    FleetOptions fresh_options, const Dataset& dataset, size_t num_threads,
-    StateLayout layout);
+    FleetOptions fresh_options, const Dataset& dataset, size_t num_threads);
 
 /// \brief Streaming multi-customer serving: sharded per-customer state,
 /// batched ingestion, alerting, and bit-identical snapshot/restore.
@@ -227,26 +224,23 @@ class FleetHandle {
   Status AppendSnapshot(const std::string& path) const;
 
   /// Rebuilds a fleet from a snapshot; continues bit-identically.
-  /// Threads and the storage layout are never serialized; the restored
-  /// fleet uses `num_threads` workers (1 when 0) and `layout` storage,
-  /// with identical results for any choice of either.
-  static Result<FleetHandle> Restore(
-      const std::string& path, const Dataset& dataset,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+  /// Threads are never serialized; the restored fleet uses `num_threads`
+  /// workers (1 when 0), with identical results for any choice.
+  static Result<FleetHandle> Restore(const std::string& path,
+                                     const Dataset& dataset,
+                                     size_t num_threads = 0);
 
  private:
   friend class ServerHandle;
   friend Result<FleetHandle> OpenSnapshot(const std::string& path,
                                           const Dataset& dataset,
-                                          size_t num_threads,
-                                          StateLayout layout);
+                                          size_t num_threads);
   friend struct RecoveredFleet;
   friend Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
                                              const std::string& snapshot_path,
                                              FleetOptions fresh_options,
                                              const Dataset& dataset,
-                                             size_t num_threads,
-                                             StateLayout layout);
+                                             size_t num_threads);
 
   explicit FleetHandle(serve::ScoringFleet fleet)
       : fleet_(std::move(fleet)) {}
@@ -260,9 +254,9 @@ class FleetHandle {
 /// newest valid generation on a torn or corrupted tail, and reports that
 /// fallback uniformly (the `snapshot_generation_fallback` structured event
 /// plus the `churnlab.serve.snapshot_fallbacks` counter).
-Result<FleetHandle> OpenSnapshot(
-    const std::string& path, const Dataset& dataset, size_t num_threads = 0,
-    StateLayout layout = StateLayout::kCompact);
+Result<FleetHandle> OpenSnapshot(const std::string& path,
+                                 const Dataset& dataset,
+                                 size_t num_threads = 0);
 
 /// A fleet rebuilt from a journal by RecoverFleet, plus the recovery
 /// summary (watermark, replayed frame/receipt counts, next sequence; the
@@ -284,7 +278,7 @@ struct RecoveredFleet {
 Result<RecoveredFleet> RecoverFleet(
     const std::string& journal_dir, const std::string& snapshot_path,
     FleetOptions fresh_options, const Dataset& dataset,
-    size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+    size_t num_threads = 0);
 
 // ---------------------------------------------------------------------------
 // Network serving
@@ -345,8 +339,7 @@ class ServerHandle {
   /// recovery summary (frames released).
   static Result<ServerHandle> Recover(
       Options options, FleetOptions fleet_options, const Dataset& dataset,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact,
-      JournalRecovery* recovery_out = nullptr);
+      size_t num_threads = 0, JournalRecovery* recovery_out = nullptr);
 
   /// Binds, listens, and starts serving (returns immediately).
   Status Start();

@@ -1,12 +1,9 @@
 #include "common/arena.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace churnlab {
-
-BlockArena::BlockArena(size_t chunk_bytes)
-    : chunk_bytes_(chunk_bytes < kMinBlockBytes ? kMinBlockBytes
-                                                : chunk_bytes) {}
 
 size_t BlockArena::SizeClassFor(size_t min_bytes) {
   size_t pow2 = kMinBlockBytes;
@@ -47,11 +44,12 @@ void* BlockArena::Allocate(size_t min_bytes, size_t* capacity_bytes) {
     return block;
   }
   if (chunks_.empty() || chunks_.back().size - chunks_.back().used < cls) {
-    // A block larger than the configured chunk span gets a dedicated chunk
-    // of exactly its class size; the bump tail of the previous chunk stays
+    // A block larger than the next chunk span gets a dedicated chunk of
+    // exactly its class size; the bump tail of the previous chunk stays
     // counted as reserved-but-unused slack.
     Chunk chunk;
-    chunk.size = cls > chunk_bytes_ ? cls : chunk_bytes_;
+    chunk.size = std::max(cls, next_chunk_bytes_);
+    next_chunk_bytes_ = std::min(next_chunk_bytes_ * 2, kMaxChunkBytes);
     chunk.data = std::make_unique<unsigned char[]>(chunk.size);
     bytes_reserved_ += chunk.size;
     chunks_.push_back(std::move(chunk));

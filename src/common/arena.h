@@ -10,7 +10,10 @@ namespace churnlab {
 
 /// \brief Bump/pool allocator for dense per-customer state blocks.
 ///
-/// Memory is carved sequentially out of large chunks (bump allocation).
+/// Memory is carved sequentially out of chunks (bump allocation). Chunk
+/// spans grow geometrically — kFirstChunkBytes, doubling up to
+/// kMaxChunkBytes — so an arena holding a handful of customers reserves
+/// kilobytes, while a large one still amortizes its chunk tails.
 /// Every block is rounded up to a size class — the powers of two from 8
 /// up, plus a 3/4 midpoint between consecutive powers from 24 up (8, 16,
 /// 24, 32, 48, 64, 96, ...), capping rounding waste at ~25% — and released
@@ -27,10 +30,11 @@ namespace churnlab {
 /// keeps one arena per shard behind the shard mutex.
 class BlockArena {
  public:
-  static constexpr size_t kDefaultChunkBytes = size_t{256} * 1024;
+  static constexpr size_t kFirstChunkBytes = size_t{4} * 1024;
+  static constexpr size_t kMaxChunkBytes = size_t{256} * 1024;
   static constexpr size_t kMinBlockBytes = 8;
 
-  explicit BlockArena(size_t chunk_bytes = kDefaultChunkBytes);
+  BlockArena() = default;
   BlockArena(BlockArena&&) noexcept = default;
   BlockArena& operator=(BlockArena&&) noexcept = default;
   BlockArena(const BlockArena&) = delete;
@@ -68,7 +72,8 @@ class BlockArena {
   /// Freelist index of the class holding blocks of `class_bytes`.
   static size_t ClassIndex(size_t class_bytes);
 
-  size_t chunk_bytes_;
+  /// Span of the next chunk (before the oversized-block override).
+  size_t next_chunk_bytes_ = kFirstChunkBytes;
   std::vector<Chunk> chunks_;
   /// Intrusive singly-linked freelists: the first 8 bytes of a released
   /// block point at the next one (class sizes are >= 8 by construction).

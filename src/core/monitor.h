@@ -48,7 +48,7 @@ struct StabilityAlert {
 ///
 /// The policy evaluation lives in the shared kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct;
-/// the serving layer's compact layout instantiates the same kernels.
+/// the serving layer's compact store instantiates the same kernels.
 ///
 /// \code
 ///   auto monitor = StabilityMonitor::Make(scorer_options, policy)
@@ -62,7 +62,7 @@ struct StabilityAlert {
 /// \endcode
 class StabilityMonitor {
  public:
-  /// Heap-layout storage behind the shared kernels: the MonitorState
+  /// Member storage behind the shared kernels: the MonitorState
   /// concept of state_kernel.h over plain members.
   struct State {
     double last_stability = 1.0;
@@ -96,10 +96,6 @@ class StabilityMonitor {
   double last_stability() const { return state_.last_stability; }
   int32_t windows_closed() const { return scorer_.windows_emitted(); }
   const MonitorPolicy& policy() const { return policy_; }
-
-  /// Heap bytes held behind this monitor (scorer plus tracker storage and
-  /// power tables), excluding sizeof(*this).
-  size_t MemoryUsage() const { return scorer_.MemoryUsage(); }
 
   /// Serializes scorer + debounce state so a restored monitor continues
   /// bit-identically (same alerts for the same future stream). Options and

@@ -11,7 +11,7 @@ namespace core {
 namespace kernel {
 
 // Definitions of the shared observability hooks declared in
-// state_kernel.h: one metric family regardless of storage layout.
+// state_kernel.h: one metric family regardless of the state type.
 
 obs::Counter* ObservationsCounter() {
   static obs::Counter* const counter =
@@ -89,11 +89,6 @@ Result<std::vector<StabilityPoint>> OnlineStabilityScorer::Observe(
 Result<StabilityPoint> OnlineStabilityScorer::Finish() {
   return kernel::ScorerFinish(tracker_.state(), state_, options_,
                               tracker_.pows());
-}
-
-size_t OnlineStabilityScorer::MemoryUsage() const {
-  return tracker_.MemoryUsage() +
-         state_.current_symbols.capacity() * sizeof(Symbol);
 }
 
 void OnlineStabilityScorer::SaveState(BinaryWriter* writer) const {

@@ -82,7 +82,7 @@ struct SignificanceOptions {
 /// The math itself lives in the storage-agnostic kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct of
 /// plain vectors; the serving layer instantiates the same kernels over its
-/// compact SoA/arena layout, which keeps the two layouts bit-identical.
+/// compact SoA/arena store, which keeps the two bit-identical.
 ///
 /// Not thread-safe — including const accessors, which lazily extend the
 /// memoised power tables. Use one tracker per thread.
@@ -91,7 +91,7 @@ struct SignificanceOptions {
 /// windows 0..k-1), then call `AdvanceWindow(u_k)`.
 class SignificanceTracker {
  public:
-  /// Heap-layout storage behind the shared kernels: plain members plus the
+  /// Member storage behind the shared kernels: plain members plus the
   /// accessor surface the TrackerState concept expects (state_kernel.h).
   struct State {
     int32_t windows_seen = 0;
@@ -182,10 +182,6 @@ class SignificanceTracker {
   int32_t windows_seen() const { return state_.windows_seen; }
 
   const SignificanceOptions& options() const { return options_; }
-
-  /// Heap bytes held behind this tracker (vector capacities plus the
-  /// memoised power tables), excluding sizeof(*this).
-  size_t MemoryUsage() const;
 
   /// Raw storage access for kernel instantiation by the streaming layers
   /// (OnlineStabilityScorer, the serving layer's equivalence tests).

@@ -22,17 +22,18 @@ namespace core {
 /// OnlineStabilityScorer, and StabilityMonitor.
 ///
 /// The math of the three classes is written once here as templates over a
-/// *state* parameter, so the exact same code runs against two layouts:
+/// *state* parameter, so the exact same code runs against two state types:
 ///
-///  - the heap layout: each class's nested `State` struct of plain members
-///    and std::vectors (one instance per customer);
-///  - the serving layer's compact layout: SoA scalar columns plus
-///    arena-backed blocks, viewed through lightweight ref types
+///  - the core classes' member structs: each class's nested `State` struct
+///    of plain members and std::vectors (one monitor per customer, as in
+///    the batch model and the tests' per-customer oracles);
+///  - the serving layer's compact refs: views of one customer slot in a
+///    shard's SoA scalar columns plus arena-backed blocks
 ///    (serve/state_store.cc).
 ///
-/// Identical code paths is what makes the two layouts byte-identical — in
-/// emitted alerts and in serialized snapshots — by construction rather
-/// than by parallel maintenance.
+/// Identical code paths is what makes the two byte-identical — in emitted
+/// alerts and in serialized state — by construction rather than by
+/// parallel maintenance.
 ///
 /// State concepts (duck-typed; no formal `concept` so the refs stay
 /// minimal):
@@ -54,7 +55,7 @@ namespace core {
 namespace kernel {
 
 /// Shared observability hooks, defined in online_scorer.cc / monitor.cc so
-/// both storage layouts feed the same metric families.
+/// both state types feed the same metric families.
 void RecordEmittedWindows(size_t count);
 obs::Counter* ObservationsCounter();
 obs::Histogram* ObserveLatencyHistogram();

@@ -179,7 +179,6 @@ Result<ScoringFleet> ScoringFleet::Make(FleetOptions options,
   store_options.scorer = options.scorer;
   store_options.policy = options.policy;
   store_options.num_shards = options.num_shards;
-  store_options.layout = options.layout;
   CHURNLAB_ASSIGN_OR_RETURN(CustomerStateStore store,
                             CustomerStateStore::Make(store_options));
   return ScoringFleet(std::move(options), std::move(store),
@@ -244,11 +243,10 @@ Result<BatchReport> ScoringFleet::IngestBatch(
         const size_t batch_index = indices[out.progress];
         const retail::Receipt& receipt = *receipts[batch_index];
         if (receipt.customer == retail::kInvalidCustomer) {
-          Status bad = Status::InvalidArgument(
-              "batch receipt has an invalid customer id");
-          if (!options_.quarantine_malformed) return bad;
           out.rejected.push_back(RejectedReceipt{
-              receipt.customer, batch_index, receipt.day, std::move(bad)});
+              receipt.customer, batch_index, receipt.day,
+              Status::InvalidArgument(
+                  "batch receipt has an invalid customer id")});
           ++out.progress;
           continue;
         }
@@ -259,7 +257,6 @@ Result<BatchReport> ScoringFleet::IngestBatch(
         Result<std::vector<core::StabilityAlert>> closed =
             state.Observe(receipt.day, symbols);
         if (!closed.ok()) {
-          if (!options_.quarantine_malformed) return closed.status();
           out.rejected.push_back(RejectedReceipt{
               receipt.customer, batch_index, receipt.day, closed.status()});
           ++out.progress;
@@ -328,10 +325,8 @@ Result<BatchReport> ScoringFleet::IngestBatch(
       continue;
     }
     if (!out.status.ok()) {
-      // Retries exhausted. With quarantine on, poison only this shard and
-      // quarantine its unprocessed tail; otherwise fail the batch (first
-      // failing shard by index, so the reported error is deterministic).
-      if (!options_.quarantine_malformed) return out.status;
+      // Retries exhausted: poison only this shard and quarantine its
+      // unprocessed tail.
       shard_health_[shard] = out.status;
       metrics.poisoned_shards->Increment();
       report.poisoned.push_back(PoisonedShard{shard, out.status});
@@ -518,7 +513,6 @@ Result<BatchReport> ScoringFleet::ForAllCustomers(const char* span_name,
       continue;
     }
     if (!out.status.ok()) {
-      if (!options_.quarantine_malformed) return out.status;
       shard_health_[shard] = out.status;
       metrics.poisoned_shards->Increment();
       report.poisoned.push_back(PoisonedShard{shard, out.status});
@@ -633,8 +627,7 @@ Result<SnapshotRef> ScoringFleet::SaveSnapshotWithRef(
 
 Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
                                            const retail::Taxonomy* taxonomy,
-                                           size_t num_threads,
-                                           StateLayout layout) {
+                                           size_t num_threads) {
   CHURNLAB_SPAN("serve.restore_snapshot");
   static Failpoint* const read_frame_failpoint =
       FailpointRegistry::Global().Get("serve.snapshot.read_frame");
@@ -662,7 +655,6 @@ Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
   options.num_shards = num_shards;
   options.num_threads = num_threads > 0 ? num_threads : 1;
   options.granularity = static_cast<retail::Granularity>(granularity);
-  options.layout = layout;
 
   CHURNLAB_ASSIGN_OR_RETURN(ScoringFleet fleet, Make(options, taxonomy));
   for (size_t shard = 0; shard < fleet.store_.num_shards(); ++shard) {
@@ -746,7 +738,7 @@ Result<CustomerQuery> ScoringFleet::QueryCustomer(
 
 Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     const std::string& path, const retail::Taxonomy* taxonomy,
-    size_t num_threads, StateLayout layout) {
+    size_t num_threads) {
   CHURNLAB_ASSIGN_OR_RETURN(BinaryReader reader,
                             BinaryReader::OpenFile(path));
   if (reader.remaining() < kSnapshotMagicSize) {
@@ -758,7 +750,7 @@ Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     // Bare snapshot: re-open so Restore sees the magic it expects.
     CHURNLAB_ASSIGN_OR_RETURN(BinaryReader bare,
                               BinaryReader::OpenFile(path));
-    return Restore(&bare, taxonomy, num_threads, layout);
+    return Restore(&bare, taxonomy, num_threads);
   }
 
   // Generation file: scan frames, keep the newest whose CRC verifies. A
@@ -823,7 +815,7 @@ Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     Metrics().snapshot_fallbacks->Increment();
   }
   BinaryReader newest_reader(std::move(newest));
-  return Restore(&newest_reader, taxonomy, num_threads, layout);
+  return Restore(&newest_reader, taxonomy, num_threads);
 }
 
 namespace {
@@ -889,7 +881,7 @@ Result<std::string> LoadSnapshotByRef(const std::string& path,
 Result<ScoringFleet> ScoringFleet::Recover(
     const JournalRecovery& recovery, const std::string& snapshot_path,
     const FleetOptions& fresh_options, const retail::Taxonomy* taxonomy,
-    size_t num_threads, StateLayout layout) {
+    size_t num_threads) {
   CHURNLAB_SPAN("serve.recover");
   Result<ScoringFleet> base = [&]() -> Result<ScoringFleet> {
     if (recovery.snapshot.kind == SnapshotRef::Kind::kNone) {
@@ -901,7 +893,6 @@ Result<ScoringFleet> ScoringFleet::Recover(
       }
       FleetOptions options = fresh_options;
       if (num_threads > 0) options.num_threads = num_threads;
-      options.layout = layout;
       return Make(options, taxonomy);
     }
     if (snapshot_path.empty()) {
@@ -913,7 +904,7 @@ Result<ScoringFleet> ScoringFleet::Recover(
         std::string payload,
         LoadSnapshotByRef(snapshot_path, recovery.snapshot));
     BinaryReader snapshot(std::move(payload));
-    return Restore(&snapshot, taxonomy, num_threads, layout);
+    return Restore(&snapshot, taxonomy, num_threads);
   }();
   if (!base.ok()) {
     return base.status().WithContext("recovering fleet base state");

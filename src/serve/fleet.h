@@ -34,16 +34,10 @@ struct FleetOptions {
   /// Symbol space the monitors observe (the paper's experiments run at
   /// segment granularity).
   retail::Granularity granularity = retail::Granularity::kSegment;
-  /// In-memory representation of per-customer state (see StateLayout).
-  /// Runtime-only, like num_threads: never serialized, and alerts plus
-  /// snapshot bytes are identical across layouts.
+  /// Read by nothing: customer state has a single layout. Kept only so
+  /// callers that still assign it compile; it goes away together with
+  /// them.
   StateLayout layout = StateLayout::kCompact;
-  /// Graceful degradation (docs/ROBUSTNESS.md): when true, malformed
-  /// receipts (invalid customer id, stream-contract violations such as a
-  /// stale day) are quarantined into BatchReport::rejected instead of
-  /// failing the batch. When false, the first malformed receipt fails
-  /// IngestBatch with its error (the pre-robustness contract).
-  bool quarantine_malformed = true;
   /// Backoff for failed shard tasks (and snapshot file writes). A shard
   /// task that still fails after `shard_retry.max_retries` retries poisons
   /// only its shard, not the fleet.
@@ -114,8 +108,8 @@ struct BatchReport {
   size_t receipts_ingested = 0;
   /// Customers seen for the first time by this operation.
   size_t new_customers = 0;
-  /// Quarantined receipts, sorted by batch_index (empty unless
-  /// FleetOptions::quarantine_malformed, or a shard is poisoned).
+  /// Quarantined receipts (malformed, or routed to a poisoned shard),
+  /// sorted by batch_index.
   std::vector<RejectedReceipt> rejected;
   /// Shards that are out of service as of this operation (newly poisoned or
   /// already poisoned), sorted by shard index.
@@ -193,11 +187,9 @@ class ScoringFleet {
   /// no mutual order. Alerts are sorted by (batch_index, customer,
   /// window_index, kind), so the report is identical for any thread count.
   ///
-  /// With quarantine_malformed (the default), malformed receipts land in
-  /// the report's `rejected` list and the batch keeps going; with it off,
-  /// the first malformed receipt fails the call, the fleet may have
-  /// ingested part of the batch, and errors should be treated as fatal for
-  /// determinism. Shard-task failures are retried per
+  /// Malformed receipts (invalid customer id, stream-contract violations
+  /// such as a stale day) land in the report's `rejected` list and the
+  /// batch keeps going. Shard-task failures are retried per
   /// FleetOptions::shard_retry; a shard that exhausts its retries is
   /// poisoned (reported in `poisoned`) and its unprocessed receipts — in
   /// this and every later batch — are quarantined.
@@ -270,21 +262,19 @@ class ScoringFleet {
   Result<SnapshotRef> SaveSnapshotWithRef(const std::string& path) const;
 
   /// Rebuilds a fleet from a snapshot. Options are read from the snapshot
-  /// header; `taxonomy` is borrowed as in Make. Threads and the storage
-  /// layout are pure runtime concerns and are never serialized: the
-  /// restored fleet uses `num_threads` workers (1 when 0) and `layout`
-  /// storage, with identical results either way — a snapshot written by
-  /// one layout restores into the other bit-identically.
-  static Result<ScoringFleet> Restore(
-      BinaryReader* reader, const retail::Taxonomy* taxonomy,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+  /// header; `taxonomy` is borrowed as in Make. Threads are a pure runtime
+  /// concern and are never serialized: the restored fleet uses
+  /// `num_threads` workers (1 when 0), with identical results either way.
+  static Result<ScoringFleet> Restore(BinaryReader* reader,
+                                      const retail::Taxonomy* taxonomy,
+                                      size_t num_threads = 0);
   /// Restores from a bare snapshot ("CHLFLEET") or an append-mode
   /// generation file ("CHLFGENS"). For generation files the newest valid
   /// generation wins; a torn or corrupted tail is skipped with a
   /// structured warning and counts on churnlab.serve.snapshot_fallbacks.
   static Result<ScoringFleet> RestoreFromFile(
       const std::string& path, const retail::Taxonomy* taxonomy,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+      size_t num_threads = 0);
 
   /// Crash recovery (docs/ROBUSTNESS.md §Durability): rebuilds the fleet a
   /// crashed server would have reached, from the journal scan `recovery`
@@ -300,7 +290,7 @@ class ScoringFleet {
   static Result<ScoringFleet> Recover(
       const JournalRecovery& recovery, const std::string& snapshot_path,
       const FleetOptions& fresh_options, const retail::Taxonomy* taxonomy,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+      size_t num_threads = 0);
 
  private:
   ScoringFleet(FleetOptions options, CustomerStateStore store,

@@ -1,5 +1,5 @@
 // Unit tests for BlockArena: size-class rounding, freelist reuse,
-// oversized blocks, and exact byte accounting.
+// oversized blocks, geometric chunk growth, and exact byte accounting.
 
 #include "common/arena.h"
 
@@ -58,7 +58,7 @@ TEST(BlockArena, FreelistReusesReleasedBlocks) {
   EXPECT_EQ(again, 128u);
   EXPECT_EQ(second, first);
   // No new chunk was needed for the reuse.
-  EXPECT_EQ(arena.bytes_reserved(), BlockArena::kDefaultChunkBytes);
+  EXPECT_EQ(arena.bytes_reserved(), BlockArena::kFirstChunkBytes);
   arena.Release(second, again);
 }
 
@@ -86,7 +86,7 @@ TEST(BlockArena, AccountingTracksLiveBlocksExactly) {
   }
   EXPECT_EQ(arena.blocks_in_use(), 0u);
   // Reserved chunks are kept for reuse; accounting stays monotone.
-  EXPECT_GE(arena.bytes_reserved(), BlockArena::kDefaultChunkBytes);
+  EXPECT_GE(arena.bytes_reserved(), BlockArena::kFirstChunkBytes);
 }
 
 TEST(BlockArena, ReleaseNullIsANoOp) {
@@ -97,12 +97,13 @@ TEST(BlockArena, ReleaseNullIsANoOp) {
 }
 
 TEST(BlockArena, OversizedBlocksGetDedicatedChunks) {
-  BlockArena arena(/*chunk_bytes=*/1024);
+  BlockArena arena;
   size_t capacity = 0;
   void* big = arena.Allocate(10000, &capacity);
   ASSERT_NE(big, nullptr);
   EXPECT_EQ(capacity, 12288u);
-  EXPECT_GE(arena.bytes_reserved(), capacity);
+  // Larger than the first chunk span: the chunk is exactly the block.
+  EXPECT_EQ(arena.bytes_reserved(), capacity);
   std::memset(big, 0x5a, capacity);
   arena.Release(big, capacity);
   // The oversized block is reusable like any other class member.
@@ -113,9 +114,10 @@ TEST(BlockArena, OversizedBlocksGetDedicatedChunks) {
 }
 
 TEST(BlockArena, ManySmallBlocksSpanChunks) {
-  BlockArena arena(/*chunk_bytes=*/256);
+  // 1000 blocks of 32 bytes outgrow the first three chunks (4 + 8 + 16 KiB).
+  BlockArena arena;
   std::vector<std::pair<void*, size_t>> blocks;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     size_t capacity = 0;
     void* block = arena.Allocate(28, &capacity);
     ASSERT_NE(block, nullptr);
@@ -123,13 +125,36 @@ TEST(BlockArena, ManySmallBlocksSpanChunks) {
     std::memset(block, i, capacity);
     blocks.emplace_back(block, capacity);
   }
-  EXPECT_EQ(arena.blocks_in_use(), 100u);
-  EXPECT_EQ(arena.bytes_in_use(), 100u * 32u);
+  EXPECT_EQ(arena.blocks_in_use(), 1000u);
+  EXPECT_EQ(arena.bytes_in_use(), 1000u * 32u);
+  EXPECT_GT(arena.bytes_reserved(), 28u * 1024u);
   EXPECT_GE(arena.bytes_reserved(), arena.bytes_in_use());
   for (const auto& [block, capacity] : blocks) {
     arena.Release(block, capacity);
   }
   EXPECT_EQ(arena.bytes_in_use(), 0u);
+}
+
+TEST(BlockArena, ChunkSpansDoubleFromFirstUpToTheCap) {
+  // 4 KiB blocks fill every chunk exactly, so each new chunk shows up as
+  // one step in bytes_reserved().
+  BlockArena arena;
+  std::vector<size_t> spans;
+  size_t reserved = 0;
+  while (spans.size() < 9) {
+    size_t capacity = 0;
+    ASSERT_NE(arena.Allocate(4096, &capacity), nullptr);
+    if (arena.bytes_reserved() != reserved) {
+      spans.push_back(arena.bytes_reserved() - reserved);
+      reserved = arena.bytes_reserved();
+    }
+  }
+  const size_t kib = 1024;
+  EXPECT_EQ(spans, (std::vector<size_t>{4 * kib, 8 * kib, 16 * kib, 32 * kib,
+                                        64 * kib, 128 * kib, 256 * kib,
+                                        256 * kib, 256 * kib}));
+  EXPECT_EQ(spans.front(), BlockArena::kFirstChunkBytes);
+  EXPECT_EQ(spans.back(), BlockArena::kMaxChunkBytes);
 }
 
 TEST(BlockArena, MoveTransfersOwnership) {

@@ -5,15 +5,19 @@
 //   2. Alerts are identical for any shard count.
 //   3. Snapshot -> restore -> continue is bit-identical to uninterrupted
 //      streaming (the tentpole guarantee of the snapshot format).
-//   4. Fleet alerts match a per-customer replay through raw
-//      core::StabilityMonitor instances (the fleet adds sharding and
-//      batching, never different math).
+//   4. Fleet alerts and shard state bytes match a per-customer replay
+//      through raw core::StabilityMonitor instances, at end of stream and
+//      mid-stream, and a monitor loaded from a mid-stream shard frame
+//      continues to the same alerts (the fleet adds sharding, batching and
+//      a compact storage layout, never different math).
 //   5. A gather-view batch (pointers to receipts stored anywhere) ingests
 //      exactly like the same batch stored contiguously.
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <tuple>
@@ -110,16 +114,12 @@ struct ReplayResult {
 
 // Replays the stream in `kBatchDays`-day batches. When `split_batch` >= 0,
 // the fleet is snapshotted after that many batches, torn down, restored
-// (with `resume_threads` workers and `resume_layout` storage), and the
-// remainder replayed through the restored fleet — exercising the snapshot
-// mid-stream.
+// (with `resume_threads` workers), and the remainder replayed through the
+// restored fleet — exercising the snapshot mid-stream.
 ReplayResult Replay(size_t num_threads, size_t num_shards,
-                    int split_batch = -1, size_t resume_threads = 0,
-                    StateLayout layout = StateLayout::kCompact,
-                    StateLayout resume_layout = StateLayout::kCompact) {
+                    int split_batch = -1, size_t resume_threads = 0) {
   const std::vector<Receipt>& replay = ReplayStream();
-  FleetOptions options = TestOptions(num_threads, num_shards);
-  options.layout = layout;
+  const FleetOptions options = TestOptions(num_threads, num_shards);
   auto fleet =
       ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
   ReplayResult result;
@@ -131,7 +131,7 @@ ReplayResult Replay(size_t num_threads, size_t num_shards,
       const std::string snapshot = SnapshotOf(fleet);
       BinaryReader reader(snapshot);
       fleet = ScoringFleet::Restore(&reader, &TestDataset().taxonomy(),
-                                    resume_threads, resume_layout)
+                                    resume_threads)
                   .ValueOrDie();
     }
     const Day batch_end = replay[begin].day + kBatchDays;
@@ -186,35 +186,6 @@ TEST(ServeDeterminism, SnapshotRestoreContinueIsBitIdentical) {
     EXPECT_EQ(resumed.snapshot, uninterrupted.snapshot)
         << "split at batch " << split;
   }
-}
-
-TEST(ServeDeterminism, StorageLayoutNeverChangesAlertsOrSnapshot) {
-  // The compact (SoA + arena) and heap layouts run the same kernels over
-  // different storage; alerts and snapshot bytes must be identical.
-  const ReplayResult compact = Replay(/*num_threads=*/2, /*num_shards=*/16);
-  const ReplayResult heap =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/-1,
-             /*resume_threads=*/0, StateLayout::kHeap, StateLayout::kHeap);
-  EXPECT_FALSE(compact.alert_log.empty());
-  EXPECT_EQ(heap.alert_log, compact.alert_log);
-  EXPECT_EQ(heap.snapshot, compact.snapshot);
-}
-
-TEST(ServeDeterminism, CrossLayoutRestoreContinuesBitIdentically) {
-  // The layout is never serialized, so a snapshot taken under one layout
-  // restores under the other and continues bit-identically.
-  const ReplayResult uninterrupted =
-      Replay(/*num_threads=*/2, /*num_shards=*/16);
-  const ReplayResult compact_to_heap =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/20,
-             /*resume_threads=*/2, StateLayout::kCompact, StateLayout::kHeap);
-  const ReplayResult heap_to_compact =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/20,
-             /*resume_threads=*/2, StateLayout::kHeap, StateLayout::kCompact);
-  EXPECT_EQ(compact_to_heap.alert_log, uninterrupted.alert_log);
-  EXPECT_EQ(compact_to_heap.snapshot, uninterrupted.snapshot);
-  EXPECT_EQ(heap_to_compact.alert_log, uninterrupted.alert_log);
-  EXPECT_EQ(heap_to_compact.snapshot, uninterrupted.snapshot);
 }
 
 // Canonical text form of everything a BatchReport carries.
@@ -304,17 +275,81 @@ std::vector<AlertKey> Keys(const std::vector<FleetAlert>& alerts) {
   return keys;
 }
 
+// Byte length of a snapshot's header (magic, version, options): the
+// snapshot of an empty fleet with the same options, minus its empty shard
+// frames (size 1, CRC, one zero count byte each).
+size_t SnapshotHeaderSize(const FleetOptions& options) {
+  auto empty =
+      ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
+  const char zero = 0;
+  BinaryWriter empty_frame;
+  empty_frame.WriteVarint(1);
+  empty_frame.WriteVarint(Crc32(&zero, 1));
+  empty_frame.WriteBytes(&zero, 1);
+  return SnapshotOf(empty).size() -
+         options.num_shards * empty_frame.buffer().size();
+}
+
+// The per-shard payloads of a fleet snapshot — exactly the bytes each
+// shard's CustomerStateStore::SaveShardState wrote — in shard order.
+std::vector<std::string> ShardFrames(const std::string& snapshot,
+                                     const FleetOptions& options) {
+  BinaryReader reader(snapshot);
+  EXPECT_TRUE(reader.ReadBytes(SnapshotHeaderSize(options)).ok());
+  std::vector<std::string> frames;
+  for (size_t shard = 0; shard < options.num_shards; ++shard) {
+    const uint64_t size = reader.ReadVarint().ValueOrDie();
+    const uint64_t crc = reader.ReadVarint().ValueOrDie();
+    std::string payload = reader.ReadBytes(size).ValueOrDie();
+    EXPECT_EQ(Crc32(payload.data(), payload.size()), crc) << shard;
+    frames.push_back(std::move(payload));
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return frames;
+}
+
+// A shard frame written from independent monitors the way SaveShardState
+// lays it out: the customer count, then per customer in slot order its id
+// and its StabilityMonitor::SaveState bytes.
+std::string MonitorShardFrame(const std::vector<CustomerId>& slots,
+                              const std::map<CustomerId, std::string>& state) {
+  BinaryWriter writer;
+  writer.WriteVarint(slots.size());
+  for (const CustomerId customer : slots) {
+    writer.WriteVarint(customer);
+    const std::string& bytes = state.at(customer);
+    writer.WriteBytes(bytes.data(), bytes.size());
+  }
+  return writer.buffer();
+}
+
+std::string SavedState(const core::StabilityMonitor& monitor) {
+  BinaryWriter writer;
+  monitor.SaveState(&writer);
+  return writer.buffer();
+}
+
 TEST(ServeDeterminism, FleetMatchesPerCustomerMonitorReplay) {
   const retail::Dataset& dataset = TestDataset();
   const FleetOptions options = TestOptions(/*num_threads=*/4,
                                            /*num_shards=*/16);
+  constexpr int kSplitBatch = 20;
 
-  // Fleet side: batched day-ordered replay.
+  // Fleet side: batched day-ordered replay, snapshotted before batch
+  // kSplitBatch, whose first day is the split day.
   auto fleet =
       ScoringFleet::Make(options, &dataset.taxonomy()).ValueOrDie();
   std::vector<FleetAlert> fleet_alerts;
+  std::vector<FleetAlert> fleet_late_alerts;
+  std::string mid_snapshot;
+  Day split_day = -1;
   const std::vector<Receipt>& replay = ReplayStream();
-  for (size_t begin = 0; begin < replay.size();) {
+  int batch_number = 0;
+  for (size_t begin = 0; begin < replay.size(); ++batch_number) {
+    if (batch_number == kSplitBatch) {
+      mid_snapshot = SnapshotOf(fleet);
+      split_day = replay[begin].day;
+    }
     const Day batch_end = replay[begin].day + kBatchDays;
     size_t end = begin;
     while (end < replay.size() && replay[end].day < batch_end) ++end;
@@ -324,43 +359,147 @@ TEST(ServeDeterminism, FleetMatchesPerCustomerMonitorReplay) {
                       .ValueOrDie();
     fleet_alerts.insert(fleet_alerts.end(), report.alerts.begin(),
                         report.alerts.end());
+    if (split_day >= 0) {
+      fleet_late_alerts.insert(fleet_late_alerts.end(),
+                               report.alerts.begin(), report.alerts.end());
+    }
     begin = end;
   }
+  ASSERT_GE(split_day, 0) << "stream shorter than the split batch";
   auto tail = fleet.FinishAll().ValueOrDie();
   fleet_alerts.insert(fleet_alerts.end(), tail.alerts.begin(),
                       tail.alerts.end());
+  fleet_late_alerts.insert(fleet_late_alerts.end(), tail.alerts.begin(),
+                           tail.alerts.end());
+
+  // Slot order: a shard stores customers in order of first appearance in
+  // the stream.
+  std::vector<std::vector<CustomerId>> slots(options.num_shards);
+  std::vector<std::vector<CustomerId>> mid_slots(options.num_shards);
+  std::set<CustomerId> seen;
+  for (const Receipt& receipt : replay) {
+    if (!seen.insert(receipt.customer).second) continue;
+    const size_t shard = StableHash(receipt.customer) % options.num_shards;
+    slots[shard].push_back(receipt.customer);
+    if (receipt.day < split_day) mid_slots[shard].push_back(receipt.customer);
+  }
 
   // Reference side: one raw StabilityMonitor per customer, fed that
   // customer's history directly (same symbol mapping as the fleet: sorted,
-  // deduplicated mapped items).
+  // deduplicated mapped items). Its state is saved at the split day and at
+  // end of stream.
   auto mapper = core::SymbolMapper::Make(options.granularity,
                                          &dataset.taxonomy())
                     .ValueOrDie();
+  const auto symbols_of = [&mapper](const Receipt& receipt) {
+    std::vector<core::Symbol> symbols;
+    for (const retail::ItemId item : receipt.items) {
+      symbols.push_back(mapper.Map(item));
+    }
+    std::sort(symbols.begin(), symbols.end());
+    symbols.erase(std::unique(symbols.begin(), symbols.end()),
+                  symbols.end());
+    return symbols;
+  };
+  // Receipts before the split day come first in each (day-sorted) history.
+  const auto early_count = [&](CustomerId customer) {
+    const std::span<const Receipt> history =
+        dataset.store().History(customer);
+    return static_cast<size_t>(
+        std::partition_point(
+            history.begin(), history.end(),
+            [split_day](const Receipt& r) { return r.day < split_day; }) -
+        history.begin());
+  };
   std::vector<FleetAlert> reference_alerts;
+  std::vector<FleetAlert> reference_late_alerts;
+  std::map<CustomerId, std::string> mid_state;
+  std::map<CustomerId, std::string> end_state;
   for (const CustomerId customer : dataset.store().Customers()) {
     auto monitor =
         core::StabilityMonitor::Make(options.scorer, options.policy)
             .ValueOrDie();
-    std::vector<core::Symbol> symbols;
-    const auto record = [&](std::vector<core::StabilityAlert> alerts) {
+    const std::span<const Receipt> history =
+        dataset.store().History(customer);
+    const size_t early = early_count(customer);
+    const auto record = [&](std::vector<core::StabilityAlert> alerts,
+                            bool late) {
       for (core::StabilityAlert& alert : alerts) {
         reference_alerts.push_back(FleetAlert{customer, 0, alert});
+        if (late) reference_late_alerts.push_back(reference_alerts.back());
       }
     };
-    for (const Receipt& receipt : dataset.store().History(customer)) {
-      symbols.clear();
-      for (const retail::ItemId item : receipt.items) {
-        symbols.push_back(mapper.Map(item));
-      }
-      std::sort(symbols.begin(), symbols.end());
-      symbols.erase(std::unique(symbols.begin(), symbols.end()),
-                    symbols.end());
-      record(monitor.Observe(receipt.day, symbols).ValueOrDie());
+    for (size_t i = 0; i < history.size(); ++i) {
+      if (i == early && early > 0) mid_state[customer] = SavedState(monitor);
+      const Receipt& receipt = history[i];
+      record(monitor.Observe(receipt.day, symbols_of(receipt)).ValueOrDie(),
+             i >= early);
     }
-    record(monitor.Finish().ValueOrDie());
+    if (early == history.size()) mid_state[customer] = SavedState(monitor);
+    record(monitor.Finish().ValueOrDie(), /*late=*/true);
+    end_state[customer] = SavedState(monitor);
   }
 
   EXPECT_EQ(Keys(fleet_alerts), Keys(reference_alerts));
+
+  // Each shard's state bytes equal the frame the independent monitors
+  // write, mid-stream and at end of stream.
+  const std::vector<std::string> mid_frames =
+      ShardFrames(mid_snapshot, options);
+  const std::vector<std::string> end_frames =
+      ShardFrames(SnapshotOf(fleet), options);
+  for (size_t shard = 0; shard < options.num_shards; ++shard) {
+    EXPECT_EQ(mid_frames[shard], MonitorShardFrame(mid_slots[shard],
+                                                   mid_state))
+        << "mid-stream frame of shard " << shard;
+    EXPECT_EQ(end_frames[shard], MonitorShardFrame(slots[shard], end_state))
+        << "end-of-stream frame of shard " << shard;
+  }
+
+  // A monitor loaded from the fleet's mid-stream frame continues to the
+  // same alerts as the fleet and the uninterrupted monitor. Customers not
+  // yet in the frame start fresh.
+  std::map<CustomerId, core::StabilityMonitor> resumed;
+  for (size_t shard = 0; shard < options.num_shards; ++shard) {
+    BinaryReader frame(mid_frames[shard]);
+    const uint64_t count = frame.ReadVarint().ValueOrDie();
+    for (uint64_t i = 0; i < count; ++i) {
+      const auto customer =
+          static_cast<CustomerId>(frame.ReadVarint().ValueOrDie());
+      auto monitor =
+          core::StabilityMonitor::Make(options.scorer, options.policy)
+              .ValueOrDie();
+      ASSERT_TRUE(monitor.LoadState(&frame).ok()) << customer;
+      resumed.emplace(customer, std::move(monitor));
+    }
+    EXPECT_TRUE(frame.AtEnd()) << shard;
+  }
+  std::vector<FleetAlert> resumed_alerts;
+  for (const CustomerId customer : dataset.store().Customers()) {
+    auto it = resumed.find(customer);
+    if (it == resumed.end()) {
+      it = resumed
+               .emplace(customer, core::StabilityMonitor::Make(
+                                      options.scorer, options.policy)
+                                      .ValueOrDie())
+               .first;
+    }
+    const auto record = [&](std::vector<core::StabilityAlert> alerts) {
+      for (core::StabilityAlert& alert : alerts) {
+        resumed_alerts.push_back(FleetAlert{customer, 0, alert});
+      }
+    };
+    const std::span<const Receipt> history =
+        dataset.store().History(customer);
+    for (const Receipt& receipt : history.subspan(early_count(customer))) {
+      record(
+          it->second.Observe(receipt.day, symbols_of(receipt)).ValueOrDie());
+    }
+    record(it->second.Finish().ValueOrDie());
+  }
+  EXPECT_FALSE(resumed_alerts.empty());
+  EXPECT_EQ(Keys(resumed_alerts), Keys(fleet_late_alerts));
+  EXPECT_EQ(Keys(resumed_alerts), Keys(reference_late_alerts));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Memory-accounting invariants of the customer-state store and fleet:
 // per-shard stats sum to the fleet total, accounting is monotone while
 // customers accumulate state, the invariants survive a snapshot round
-// trip, and the compact layout actually beats the heap layout.
+// trip, and a small fleet reserves only small arena chunks.
 
 #include <algorithm>
 #include <cstdint>
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/binary_io.h"
 #include "obs/metrics.h"
 #include "serve/fleet.h"
@@ -23,13 +24,12 @@ using retail::CustomerId;
 using retail::Day;
 using retail::Receipt;
 
-FleetOptions MemFleetOptions(StateLayout layout) {
+FleetOptions MemFleetOptions() {
   FleetOptions options;
   options.scorer.window_span_days = 30;
   options.num_shards = 4;
   options.num_threads = 1;
   options.granularity = retail::Granularity::kProduct;
-  options.layout = layout;
   return options;
 }
 
@@ -70,133 +70,103 @@ void ExpectStatsEqual(const StateMemoryStats& a, const StateMemoryStats& b,
 }
 
 TEST(ServeMemory, SumOfShardsEqualsStoreTotal) {
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    StateStoreOptions options;
-    options.scorer.window_span_days = 30;
-    options.num_shards = 4;
-    options.layout = layout;
-    auto store = CustomerStateStore::Make(options).ValueOrDie();
-    for (CustomerId customer = 1; customer <= 64; ++customer) {
-      store.WithShard(store.ShardOf(customer),
-                      [&](CustomerStateStore::ShardAccessor& access) {
-                        auto state = access.GetOrCreate(customer);
-                        for (Day day = 0; day < 120; day += 10) {
-                          EXPECT_TRUE(
-                              state.Observe(day, {1, customer % 7}).ok());
-                        }
-                        return 0;
-                      });
-    }
-
-    StateMemoryStats sum;
-    for (size_t shard = 0; shard < store.num_shards(); ++shard) {
-      const StateMemoryStats stats = store.ShardMemoryUsage(shard);
-      EXPECT_EQ(stats.total_bytes,
-                stats.scalar_bytes + stats.index_bytes + stats.shared_bytes +
-                    std::max(stats.block_bytes, stats.arena_reserved_bytes))
-          << "shard " << shard << " layout " << StateLayoutToString(layout);
-      sum += stats;
-    }
-    ExpectStatsEqual(sum, store.MemoryUsage(),
-                     StateLayoutToString(layout).data());
-    EXPECT_EQ(sum.customers, store.NumCustomers());
-    EXPECT_GT(sum.total_bytes, 0u);
-    if (layout == StateLayout::kHeap) {
-      EXPECT_EQ(sum.arena_reserved_bytes, 0u);
-      EXPECT_EQ(sum.shared_bytes, 0u);
-    } else {
-      EXPECT_GE(sum.arena_reserved_bytes, sum.block_bytes);
-      EXPECT_GT(sum.shared_bytes, 0u);
-    }
+  StateStoreOptions options;
+  options.scorer.window_span_days = 30;
+  options.num_shards = 4;
+  auto store = CustomerStateStore::Make(options).ValueOrDie();
+  for (CustomerId customer = 1; customer <= 64; ++customer) {
+    store.WithShard(store.ShardOf(customer),
+                    [&](CustomerStateStore::ShardAccessor& access) {
+                      auto state = access.GetOrCreate(customer);
+                      for (Day day = 0; day < 120; day += 10) {
+                        EXPECT_TRUE(
+                            state.Observe(day, {1, customer % 7}).ok());
+                      }
+                      return 0;
+                    });
   }
+
+  StateMemoryStats sum;
+  for (size_t shard = 0; shard < store.num_shards(); ++shard) {
+    const StateMemoryStats stats = store.ShardMemoryUsage(shard);
+    EXPECT_EQ(stats.total_bytes,
+              stats.scalar_bytes + stats.index_bytes + stats.shared_bytes +
+                  std::max(stats.block_bytes, stats.arena_reserved_bytes))
+        << "shard " << shard;
+    sum += stats;
+  }
+  ExpectStatsEqual(sum, store.MemoryUsage(), "store");
+  EXPECT_EQ(sum.customers, store.NumCustomers());
+  EXPECT_GT(sum.total_bytes, 0u);
+  EXPECT_GE(sum.arena_reserved_bytes, sum.block_bytes);
+  EXPECT_GT(sum.shared_bytes, 0u);
 }
 
 TEST(ServeMemory, FleetTotalIsMonotoneDuringIngestAndPublishesGauge) {
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    auto fleet =
-        ScoringFleet::Make(MemFleetOptions(layout), nullptr).ValueOrDie();
-    size_t last_total = 0;
-    size_t last_customers = 0;
-    for (int month = 0; month < 4; ++month) {
-      const size_t count = 50 * (month + 1);
-      ASSERT_TRUE(
-          fleet.IngestBatch(MonthBatch(count, month * 30)).ok());
-      const StateMemoryStats stats = fleet.MemoryUsage();
-      EXPECT_EQ(stats.customers, fleet.NumCustomers());
-      EXPECT_GE(stats.customers, last_customers);
-      EXPECT_GE(stats.total_bytes, last_total)
-          << "month " << month << " layout " << StateLayoutToString(layout);
-      last_total = stats.total_bytes;
-      last_customers = stats.customers;
+  auto fleet = ScoringFleet::Make(MemFleetOptions(), nullptr).ValueOrDie();
+  size_t last_total = 0;
+  size_t last_customers = 0;
+  for (int month = 0; month < 4; ++month) {
+    const size_t count = 50 * (month + 1);
+    ASSERT_TRUE(fleet.IngestBatch(MonthBatch(count, month * 30)).ok());
+    const StateMemoryStats stats = fleet.MemoryUsage();
+    EXPECT_EQ(stats.customers, fleet.NumCustomers());
+    EXPECT_GE(stats.customers, last_customers);
+    EXPECT_GE(stats.total_bytes, last_total) << "month " << month;
+    last_total = stats.total_bytes;
+    last_customers = stats.customers;
 
-      static obs::Gauge* const bytes_total =
-          obs::MetricsRegistry::Global().GetGauge(
-              "churnlab.serve.bytes_total");
-      EXPECT_EQ(bytes_total->Value(),
-                static_cast<double>(stats.total_bytes));
-    }
+    static obs::Gauge* const bytes_total =
+        obs::MetricsRegistry::Global().GetGauge("churnlab.serve.bytes_total");
+    EXPECT_EQ(bytes_total->Value(), static_cast<double>(stats.total_bytes));
   }
 }
 
 TEST(ServeMemory, AccountingSurvivesSnapshotRestoreRoundTrip) {
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    auto fleet =
-        ScoringFleet::Make(MemFleetOptions(layout), nullptr).ValueOrDie();
-    for (int month = 0; month < 3; ++month) {
-      ASSERT_TRUE(fleet.IngestBatch(MonthBatch(120, month * 30)).ok());
-    }
-    BinaryWriter writer;
-    ASSERT_TRUE(fleet.SaveSnapshot(&writer).ok());
-    BinaryReader reader(writer.buffer());
-    auto restored =
-        ScoringFleet::Restore(&reader, nullptr, /*num_threads=*/1, layout)
-            .ValueOrDie();
-
-    const StateMemoryStats before = fleet.MemoryUsage();
-    const StateMemoryStats after = restored.MemoryUsage();
-    EXPECT_EQ(after.customers, before.customers);
-    EXPECT_GT(after.total_bytes, 0u);
-    // The restored store satisfies the same accounting identity. (The max
-    // picks the same side on every shard — arena_reserved >= block in the
-    // compact layout, arena_reserved == 0 in the heap layout — so the
-    // identity survives summation over shards.)
-    EXPECT_EQ(after.total_bytes,
-              after.scalar_bytes + after.index_bytes + after.shared_bytes +
-                  std::max(after.block_bytes, after.arena_reserved_bytes))
-        << StateLayoutToString(layout);
-    // Compact block bytes are class-rounded, so the same logical state
-    // costs the same live bytes whether grown incrementally or loaded in
-    // one shot. (Heap capacities depend on the vector growth path, so no
-    // such equality holds there.)
-    if (layout == StateLayout::kCompact) {
-      EXPECT_EQ(after.block_bytes, before.block_bytes);
-    }
+  auto fleet = ScoringFleet::Make(MemFleetOptions(), nullptr).ValueOrDie();
+  for (int month = 0; month < 3; ++month) {
+    ASSERT_TRUE(fleet.IngestBatch(MonthBatch(120, month * 30)).ok());
   }
+  BinaryWriter writer;
+  ASSERT_TRUE(fleet.SaveSnapshot(&writer).ok());
+  BinaryReader reader(writer.buffer());
+  auto restored = ScoringFleet::Restore(&reader, nullptr).ValueOrDie();
+
+  const StateMemoryStats before = fleet.MemoryUsage();
+  const StateMemoryStats after = restored.MemoryUsage();
+  EXPECT_EQ(after.customers, before.customers);
+  EXPECT_GT(after.total_bytes, 0u);
+  // The restored store satisfies the same accounting identity. (The max
+  // picks arena_reserved >= block on every shard, so the identity survives
+  // summation over shards.)
+  EXPECT_EQ(after.total_bytes,
+            after.scalar_bytes + after.index_bytes + after.shared_bytes +
+                std::max(after.block_bytes, after.arena_reserved_bytes));
+  // Block bytes are class-rounded, so the same logical state costs the
+  // same live bytes whether grown incrementally or loaded in one shot.
+  EXPECT_EQ(after.block_bytes, before.block_bytes);
 }
 
-TEST(ServeMemory, CompactLayoutUsesFewerBytesThanHeap) {
-  // A population big enough that per-shard arena chunk tails amortize, and
-  // enough windows that the heap layout's private per-monitor power tables
-  // cost real bytes (the compact layout shares one table per shard).
-  StateMemoryStats by_layout[2];
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    auto fleet =
-        ScoringFleet::Make(MemFleetOptions(layout), nullptr).ValueOrDie();
-    for (int month = 0; month < 12; ++month) {
-      ASSERT_TRUE(fleet.IngestBatch(MonthBatch(4000, month * 30)).ok());
+TEST(ServeMemory, SmallFleetReservesOnlyFirstArenaChunks) {
+  // A handful of customers per shard fits in each shard's first arena
+  // chunk, so a small fleet costs kilobytes of arena, not a large fixed
+  // chunk per shard.
+  auto fleet = ScoringFleet::Make(MemFleetOptions(), nullptr).ValueOrDie();
+  for (int month = 0; month < 3; ++month) {
+    std::vector<Receipt> batch;
+    for (CustomerId customer = 1; customer <= 16; ++customer) {
+      batch.push_back(MakeReceipt(customer, month * 30,
+                                  {1, static_cast<retail::ItemId>(
+                                          2 + customer % 3)}));
     }
-    by_layout[layout == StateLayout::kHeap ? 1 : 0] = fleet.MemoryUsage();
+    ASSERT_TRUE(fleet.IngestBatch(batch).ok());
   }
-  const StateMemoryStats& compact = by_layout[0];
-  const StateMemoryStats& heap = by_layout[1];
-  ASSERT_EQ(compact.customers, heap.customers);
-  EXPECT_LT(compact.total_bytes, heap.total_bytes)
-      << "compact " << compact.total_bytes << " vs heap "
-      << heap.total_bytes;
+  const StateMemoryStats stats = fleet.MemoryUsage();
+  ASSERT_EQ(stats.customers, 16u);
+  EXPECT_GT(stats.arena_reserved_bytes, 0u);
+  EXPECT_GE(stats.arena_reserved_bytes, stats.block_bytes);
+  EXPECT_LE(stats.arena_reserved_bytes,
+            fleet.options().num_shards * BlockArena::kFirstChunkBytes);
 }
 
 }  // namespace

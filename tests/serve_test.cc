@@ -141,48 +141,43 @@ TEST(CustomerStateStore, LoadRejectsCustomerFromWrongShard) {
 
 TEST(CustomerStateStore, GetOrCreateSurvivesThrowingCreation) {
   // Regression: GetOrCreate used to publish the shard-index entry before
-  // the customer's storage slot existed; a throwing creation (monitor copy,
-  // column growth) left a dangling index entry behind. Creation is now
-  // fully rolled back on throw, in both layouts.
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    StateStoreOptions options = SmallStoreOptions();
-    options.layout = layout;
-    auto store = CustomerStateStore::Make(options).ValueOrDie();
-    const CustomerId victim = 7;
-    const size_t shard = store.ShardOf(victim);
-    CustomerId neighbour = victim + 1;
-    while (store.ShardOf(neighbour) != shard) ++neighbour;
-    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-      auto state = access.GetOrCreate(neighbour);
-      return state.Observe(5, {1}).ok() ? 0 : 1;
-    });
+  // the customer's storage slot existed; a throwing creation left a
+  // dangling index entry behind. Creation is now fully rolled back on
+  // throw.
+  auto store = CustomerStateStore::Make(SmallStoreOptions()).ValueOrDie();
+  const CustomerId victim = 7;
+  const size_t shard = store.ShardOf(victim);
+  CustomerId neighbour = victim + 1;
+  while (store.ShardOf(neighbour) != shard) ++neighbour;
+  store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+    auto state = access.GetOrCreate(neighbour);
+    return state.Observe(5, {1}).ok() ? 0 : 1;
+  });
 
-    FailpointConfig config;
-    config.action = FailpointAction::kThrow;
-    config.has_key = true;
-    config.key = victim;
-    FailpointRegistry::Global().Get("serve.state.create")->Arm(config);
-    EXPECT_THROW(
-        store.WithShard(shard,
-                        [&](CustomerStateStore::ShardAccessor& access) {
-                          access.GetOrCreate(victim);
-                          return 0;
-                        }),
-        FailpointException);
-    FailpointRegistry::Global().Get("serve.state.create")->Disarm();
+  FailpointConfig config;
+  config.action = FailpointAction::kThrow;
+  config.has_key = true;
+  config.key = victim;
+  FailpointRegistry::Global().Get("serve.state.create")->Arm(config);
+  EXPECT_THROW(
+      store.WithShard(shard,
+                      [&](CustomerStateStore::ShardAccessor& access) {
+                        access.GetOrCreate(victim);
+                        return 0;
+                      }),
+      FailpointException);
+  FailpointRegistry::Global().Get("serve.state.create")->Disarm();
 
-    // The failed creation left no trace: the neighbour is intact and the
-    // victim can be created cleanly afterwards.
-    EXPECT_EQ(store.NumCustomers(), 1u) << StateLayoutToString(layout);
-    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-      EXPECT_EQ(access.size(), 1u);
-      EXPECT_EQ(access.CustomerAt(0), neighbour);
-      auto state = access.GetOrCreate(victim);
-      return state.Observe(6, {1, 2}).ok() ? 0 : 1;
-    });
-    EXPECT_EQ(store.NumCustomers(), 2u) << StateLayoutToString(layout);
-  }
+  // The failed creation left no trace: the neighbour is intact and the
+  // victim can be created cleanly afterwards.
+  EXPECT_EQ(store.NumCustomers(), 1u);
+  store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+    EXPECT_EQ(access.size(), 1u);
+    EXPECT_EQ(access.CustomerAt(0), neighbour);
+    auto state = access.GetOrCreate(victim);
+    return state.Observe(6, {1, 2}).ok() ? 0 : 1;
+  });
+  EXPECT_EQ(store.NumCustomers(), 2u);
 }
 
 TEST(CustomerStateStore, LoadShardStateIsAllOrNothing) {
@@ -254,8 +249,8 @@ TEST(ScoringFleet, IngestCountsReceiptsAndNewCustomers) {
 }
 
 TEST(ScoringFleet, IngestQuarantinesInvalidCustomerAndStaleReceipt) {
-  // Default quarantine mode: malformed receipts land in
-  // BatchReport::rejected instead of failing the whole batch.
+  // Malformed receipts land in BatchReport::rejected instead of failing
+  // the whole batch.
   auto fleet = ScoringFleet::Make(SmallFleetOptions(), nullptr).ValueOrDie();
   std::vector<Receipt> bad_id;
   bad_id.push_back(MakeReceipt(retail::kInvalidCustomer, 0, {1}));
@@ -281,26 +276,6 @@ TEST(ScoringFleet, IngestQuarantinesInvalidCustomerAndStaleReceipt) {
   EXPECT_EQ(report.rejected[0].batch_index, 0u);
   EXPECT_EQ(report.rejected[0].day, 10);
   EXPECT_TRUE(report.rejected[0].reason.IsInvalidArgument());
-}
-
-TEST(ScoringFleet, IngestFailsHardWithQuarantineDisabled) {
-  // quarantine_malformed = false restores the strict pre-quarantine
-  // contract: any malformed receipt fails the batch.
-  FleetOptions options = SmallFleetOptions();
-  options.quarantine_malformed = false;
-  auto fleet = ScoringFleet::Make(options, nullptr).ValueOrDie();
-  std::vector<Receipt> bad_id;
-  bad_id.push_back(MakeReceipt(retail::kInvalidCustomer, 0, {1}));
-  EXPECT_FALSE(fleet.IngestBatch(bad_id).ok());
-
-  std::vector<Receipt> forward;
-  forward.push_back(MakeReceipt(1, 50, {1}));
-  ASSERT_TRUE(fleet.IngestBatch(forward).ok());
-  std::vector<Receipt> stale;
-  stale.push_back(MakeReceipt(1, 10, {1}));
-  const auto report = fleet.IngestBatch(stale);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.status().IsInvalidArgument());
 }
 
 TEST(ScoringFleet, RaisesLowStabilityAlertWhenBasketCollapses) {

@@ -335,7 +335,7 @@ Status RunServeReplay(int argc, const char* const* argv) {
   FlagParser parser(
       "churnlab serve-replay: replay a dataset through the scoring fleet "
       "in day-ordered batches");
-  std::string data, snapshot_out, resume, failpoints, state_layout, recover;
+  std::string data, snapshot_out, resume, failpoints, recover;
   double alpha, beta;
   int64_t window, batch_days, from_day, to_day, max_shard_retries;
   int64_t mem_budget_mb, limit_receipts;
@@ -390,11 +390,6 @@ Status RunServeReplay(int argc, const char* const* argv) {
                   "retries per failed shard task before the shard is "
                   "poisoned",
                   &max_shard_retries);
-  parser.AddString("state-layout", "compact",
-                   "customer-state storage: compact (SoA + arena) or heap "
-                   "(one monitor object per customer); output is identical "
-                   "either way",
-                   &state_layout);
   parser.AddInt64("mem-budget-mb", 0,
                   "soft budget for fleet state bytes: when exceeded, a "
                   "warning is logged and a memory summary printed (0 = "
@@ -437,16 +432,13 @@ Status RunServeReplay(int argc, const char* const* argv) {
   options.granularity = products ? api::Granularity::kProduct
                                  : api::Granularity::kSegment;
   options.shard_retry.max_retries = static_cast<int>(max_shard_retries);
-  CHURNLAB_ASSIGN_OR_RETURN(options.layout,
-                            api::ParseStateLayout(state_layout));
 
   Result<api::FleetHandle> fleet = Status::Internal("fleet not built");
   if (!recover.empty()) {
     // Crash recovery: checkpointed generation + journal frames above the
     // watermark, byte-identical to the crashed server's post-replay state.
     Result<api::RecoveredFleet> recovered = api::RecoverFleet(
-        recover, resume, options, dataset, static_cast<size_t>(threads),
-        options.layout);
+        recover, resume, options, dataset, static_cast<size_t>(threads));
     CHURNLAB_RETURN_NOT_OK(recovered.status());
     std::printf("recovered journal %s: watermark=%llu frames=%zu "
                 "receipts=%llu discarded-tail-frames=%zu "
@@ -467,8 +459,7 @@ Status RunServeReplay(int argc, const char* const* argv) {
   } else {
     // --resume shares api::OpenSnapshot with serve-http, so a corrupt tail
     // generation falls back (and is reported) identically in both paths.
-    fleet = api::OpenSnapshot(resume, dataset, static_cast<size_t>(threads),
-                              options.layout);
+    fleet = api::OpenSnapshot(resume, dataset, static_cast<size_t>(threads));
   }
   CHURNLAB_RETURN_NOT_OK(fleet.status());
 
@@ -522,9 +513,7 @@ Status RunServeReplay(int argc, const char* const* argv) {
                       __FILE__, __LINE__)
             .Uint("bytes_total", memory.total_bytes)
             .Uint("budget_bytes", mem_budget_bytes)
-            .Uint("customers", memory.customers)
-            .Str("layout", std::string(
-                     api::StateLayoutToString(options.layout)));
+            .Uint("customers", memory.customers);
       }
     }
 
@@ -575,11 +564,9 @@ Status RunServeReplay(int argc, const char* const* argv) {
                   static_cast<double>(memory.customers)
             : 0.0;
     std::printf("state memory: %.1f MiB for %zu customers "
-                "(%.0f B/customer, layout=%s)%s\n",
+                "(%.0f B/customer)%s\n",
                 static_cast<double>(memory.total_bytes) / (1024.0 * 1024.0),
                 memory.customers, per_customer,
-                std::string(api::StateLayoutToString(options.layout))
-                    .c_str(),
                 mem_budget_warned ? " [budget exceeded]" : "");
   }
   if (!snapshot_out.empty()) {
@@ -594,7 +581,7 @@ Status RunServeHttp(int argc, const char* const* argv) {
       "churnlab serve-http: run the HTTP/1.1 scoring front end over a "
       "sharded fleet (POST /v1/ingest, GET /v1/customers/{id}, GET "
       "/v1/health, GET /metrics, POST /v1/snapshot)");
-  std::string data, bind, snapshot_out, resume, failpoints, state_layout;
+  std::string data, bind, snapshot_out, resume, failpoints;
   std::string journal, journal_fsync;
   double alpha, beta;
   int64_t window, port, retry_after, poll_ms, max_shard_retries;
@@ -617,9 +604,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
   parser.AddBool("products", false,
                  "observe raw products instead of taxonomy segments",
                  &products);
-  parser.AddString("state-layout", "compact",
-                   "customer-state storage: compact (SoA + arena) or heap",
-                   &state_layout);
   parser.AddInt64("max-shard-retries", 2,
                   "retries per failed shard task before the shard is "
                   "poisoned",
@@ -728,8 +712,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
   options.granularity = products ? api::Granularity::kProduct
                                  : api::Granularity::kSegment;
   options.shard_retry.max_retries = static_cast<int>(max_shard_retries);
-  CHURNLAB_ASSIGN_OR_RETURN(options.layout,
-                            api::ParseStateLayout(state_layout));
 
   api::ServerHandle::Options server_options;
   server_options.http.bind_address = bind;
@@ -763,7 +745,7 @@ Status RunServeHttp(int argc, const char* const* argv) {
     server = api::ServerHandle::Recover(std::move(server_options), options,
                                         dataset,
                                         static_cast<size_t>(threads),
-                                        options.layout, &recovery);
+                                        &recovery);
     CHURNLAB_RETURN_NOT_OK(server.status());
     std::printf("recovered journal %s: watermark=%llu frames=%zu "
                 "receipts=%llu discarded-tail-frames=%zu "
@@ -783,8 +765,7 @@ Status RunServeHttp(int argc, const char* const* argv) {
         resume.empty()
             ? api::FleetHandle::Make(options, dataset)
             : api::OpenSnapshot(resume, dataset,
-                                static_cast<size_t>(threads),
-                                options.layout);
+                                static_cast<size_t>(threads));
     CHURNLAB_RETURN_NOT_OK(fleet.status());
     server = api::ServerHandle::Make(std::move(server_options),
                                      std::move(*fleet));
