@@ -1,14 +1,11 @@
-// Microbenchmarks of the stability model's hot paths: windowing,
-// significance tracking, per-customer stability series, and whole-dataset
-// scoring.
+// Microbenchmarks of the stability model's hot paths: significance
+// tracking, per-customer stability series (windowing plus scoring), and
+// whole-dataset scoring.
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "core/significance_reference.h"
-#include "core/stability.h"
 #include "core/stability_model.h"
-#include "core/window.h"
 #include "datagen/scenario.h"
 
 namespace churnlab {
@@ -42,23 +39,6 @@ std::vector<retail::Receipt> MakeHistory(int32_t months, size_t basket,
   return receipts;
 }
 
-void BM_Windowing(benchmark::State& state) {
-  const auto receipts =
-      MakeHistory(static_cast<int32_t>(state.range(0)), 15, 7);
-  core::WindowerOptions options;
-  options.window_span_days = 60;
-  const core::Windower windower(options);
-  for (auto _ : state) {
-    auto history = windower.Build(
-        std::span<const retail::Receipt>(receipts),
-        [](retail::ItemId item) { return item; });
-    benchmark::DoNotOptimize(history);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(receipts.size()));
-}
-BENCHMARK(BM_Windowing)->Arg(28)->Arg(120);
-
 void BM_SignificanceAdvance(benchmark::State& state) {
   const size_t symbols = static_cast<size_t>(state.range(0));
   std::vector<core::Symbol> window(symbols);
@@ -75,12 +55,10 @@ void BM_SignificanceAdvance(benchmark::State& state) {
 }
 BENCHMARK(BM_SignificanceAdvance)->Arg(30)->Arg(300);
 
-// Long-history scoring: 600 windows over a 300-symbol repertoire. The old
-// scan-based tracker paid O(seen catalogue) per TotalSignificance call, so
-// this is where the incremental recurrence shows up; the reference
-// benchmark below keeps the before/after ratio measurable in one binary.
-template <typename Tracker>
-void RunLongHistory(benchmark::State& state) {
+// Long-history scoring: 600 windows over a 300-symbol repertoire. A
+// scan-based tracker pays O(seen catalogue) per TotalSignificance call, so
+// this is where the incremental recurrence shows up.
+void BM_SignificanceLongHistory(benchmark::State& state) {
   const size_t symbols = 300;
   const int32_t windows = static_cast<int32_t>(state.range(0));
   // Rotating half-present windows so contain counts diverge per symbol.
@@ -91,7 +69,7 @@ void RunLongHistory(benchmark::State& state) {
     }
   }
   for (auto _ : state) {
-    Tracker tracker{core::SignificanceOptions{}};
+    core::SignificanceTracker tracker{core::SignificanceOptions{}};
     double checksum = 0.0;
     for (int32_t k = 0; k < windows; ++k) {
       const auto& window = history[static_cast<size_t>(k) % history.size()];
@@ -103,34 +81,27 @@ void RunLongHistory(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * windows);
 }
-
-void BM_SignificanceLongHistory(benchmark::State& state) {
-  RunLongHistory<core::SignificanceTracker>(state);
-}
 BENCHMARK(BM_SignificanceLongHistory)->Arg(120)->Arg(600);
 
-void BM_SignificanceLongHistoryReference(benchmark::State& state) {
-  RunLongHistory<core::ReferenceSignificanceTracker>(state);
-}
-BENCHMARK(BM_SignificanceLongHistoryReference)->Arg(120)->Arg(600);
-
+// One customer's stability series through the batch model: its receipts
+// replayed through the streaming scorer, which windows them and scores
+// each window as it closes.
 void BM_StabilitySeries(benchmark::State& state) {
-  const auto receipts =
-      MakeHistory(static_cast<int32_t>(state.range(0)), 15, 11);
-  core::WindowerOptions window_options;
-  window_options.window_span_days = 60;
-  const core::Windower windower(window_options);
-  const auto history = windower.Build(
-      std::span<const retail::Receipt>(receipts),
-      [](retail::ItemId item) { return item; });
-  const core::StabilityComputer computer =
-      core::StabilityComputer::Make(core::SignificanceOptions{}).ValueOrDie();
+  retail::Dataset dataset;
+  for (retail::Receipt& receipt :
+       MakeHistory(static_cast<int32_t>(state.range(0)), 15, 11)) {
+    dataset.mutable_store().Append(std::move(receipt)).Abort("append");
+  }
+  dataset.Finalize();
+  core::StabilityModelOptions options;
+  options.granularity = retail::Granularity::kProduct;
+  const core::StabilityModel model =
+      core::StabilityModel::Make(options).ValueOrDie();
   for (auto _ : state) {
-    auto series = computer.Compute(history);
+    auto series = model.ScoreCustomer(dataset, 1);
     benchmark::DoNotOptimize(series);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(history.num_windows()));
+  state.SetItemsProcessed(state.iterations() * model.NumWindowsFor(dataset));
 }
 BENCHMARK(BM_StabilitySeries)->Arg(28)->Arg(120);
 

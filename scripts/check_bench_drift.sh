@@ -10,7 +10,8 @@
 #   baseline_ref   git ref providing the committed baselines (default HEAD)
 #
 # Suites or series without a committed baseline pass with a note — the
-# trajectory starts at the first commit that carries them. The merged
+# trajectory starts at the first commit that carries them. Series that
+# exist only in the baseline are listed as removed without failing. The merged
 # BENCH_micro.json is skipped (it is an array of the per-suite documents).
 set -euo pipefail
 
@@ -39,20 +40,27 @@ for current in "${suites[@]}"; do
     continue
   fi
 
-  # One line per current benchmark:
-  #   <name> <baseline|none> <current>
+  # One line per current benchmark, then one per baseline-only benchmark:
+  #   <name> <baseline|none> <current|removed>
   # Memory benchmarks (BM_FleetMemory) run a single iteration and carry
   # their payload in the bytes_total counter, so drift is computed on bytes
   # held rather than single-shot wall time.
   joined=$(jq -rn --argjson base "${baseline_json}" --slurpfile cur "${current}" '
     def metric: if (.name | startswith("BM_FleetMemory"))
                 then .counters.bytes_total else .real_ns_per_iter end;
-    ($base.benchmarks | map({key: .name, value: metric}) | from_entries) as $b
-    | $cur[0].benchmarks[]
-    | "\(.name) \($b[.name] // "none") \(metric)"')
+    def by_name: map({key: .name, value: metric}) | from_entries;
+    ($base.benchmarks | by_name) as $b
+    | ($cur[0].benchmarks | by_name) as $c
+    | ($cur[0].benchmarks[] | "\(.name) \($b[.name] // "none") \(metric)"),
+      ($base.benchmarks[] | select($c[.name] == null)
+       | "\(.name) \(metric) removed")')
 
   while read -r name base_ns cur_ns; do
     [[ -n "${name}" ]] || continue
+    if [[ "${cur_ns}" == "removed" ]]; then
+      echo "- ${suite} ${name}: removed (baseline only)"
+      continue
+    fi
     if [[ "${base_ns}" == "none" ]]; then
       echo "~ ${suite} ${name}: no baseline"
       continue

@@ -1,64 +1,41 @@
 #include "core/explanation.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace churnlab {
 namespace core {
 
-ExplanationEngine::ExplanationEngine(StabilityComputer computer,
-                                     ExplanationOptions options)
-    : computer_(std::move(computer)), options_(options) {}
+ExplanationEngine::ExplanationEngine(ExplanationOptions options)
+    : options_(options) {}
 
-std::vector<WindowExplanation> ExplanationEngine::Explain(
-    const WindowedHistory& history) const {
-  std::vector<WindowExplanation> explanations;
-  explanations.reserve(history.windows.size());
-
-  const Window* previous_window = nullptr;
-
-  const StabilitySeries series = computer_.ComputeWithCallback(
-      history,
-      [&](int32_t k, const SignificanceTracker& tracker, const Window& window) {
-        WindowExplanation explanation;
-        explanation.window_index = k;
-
-        const double total = tracker.TotalSignificance();
-        if (total > 0.0) {
-          for (const Symbol symbol : tracker.SeenSymbols()) {
-            if (window.Contains(symbol)) continue;
-            const double significance = tracker.SignificanceOf(symbol);
-            const double share = significance / total;
-            if (share < options_.min_significance_share) continue;
-            MissingSymbol missing;
-            missing.symbol = symbol;
-            missing.significance = significance;
-            missing.significance_share = share;
-            missing.newly_missing =
-                previous_window != nullptr && previous_window->Contains(symbol);
-            explanation.missing.push_back(missing);
-          }
-          std::stable_sort(explanation.missing.begin(),
-                           explanation.missing.end(),
-                           [](const MissingSymbol& a, const MissingSymbol& b) {
-                             return a.significance > b.significance;
-                           });
-          if (explanation.missing.size() > options_.top_k) {
-            explanation.missing.resize(options_.top_k);
-          }
-        }
-        previous_window = &window;
-        explanations.push_back(std::move(explanation));
-      });
-
-  // Stitch in stability values and drops now that the series is complete.
-  for (size_t k = 0; k < explanations.size(); ++k) {
-    explanations[k].stability = series.points[k].stability;
-    explanations[k].drop_from_previous =
-        k == 0 ? 0.0
-               : series.points[k - 1].stability - series.points[k].stability;
+WindowExplanation ExplanationEngine::Explain(
+    const SignificanceTracker& tracker, std::span<const Symbol> window,
+    std::span<const Symbol> previous) const {
+  WindowExplanation explanation;
+  explanation.window_index = tracker.windows_seen();
+  const double total = tracker.TotalSignificance();
+  if (total <= 0.0) return explanation;
+  for (const Symbol symbol : tracker.SeenSymbols()) {
+    if (std::binary_search(window.begin(), window.end(), symbol)) continue;
+    const double significance = tracker.SignificanceOf(symbol);
+    const double share = significance / total;
+    if (share < options_.min_significance_share) continue;
+    MissingSymbol missing;
+    missing.symbol = symbol;
+    missing.significance = significance;
+    missing.significance_share = share;
+    missing.newly_missing =
+        std::binary_search(previous.begin(), previous.end(), symbol);
+    explanation.missing.push_back(missing);
   }
-  return explanations;
+  std::stable_sort(explanation.missing.begin(), explanation.missing.end(),
+                   [](const MissingSymbol& a, const MissingSymbol& b) {
+                     return a.significance > b.significance;
+                   });
+  if (explanation.missing.size() > options_.top_k) {
+    explanation.missing.resize(options_.top_k);
+  }
+  return explanation;
 }
 
 }  // namespace core

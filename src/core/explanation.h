@@ -2,10 +2,12 @@
 #define CHURNLAB_CORE_EXPLANATION_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/stability.h"
-#include "core/window.h"
+#include "core/significance.h"
+#include "core/symbol_mapper.h"
 
 namespace churnlab {
 namespace core {
@@ -26,8 +28,10 @@ struct MissingSymbol {
 /// Why window k has the stability it has.
 struct WindowExplanation {
   int32_t window_index = 0;
+  /// The window's stability and stability(k-1) - stability(k) (positive on
+  /// drops, 0 for window 0). Filled in from the stability series once the
+  /// window has closed; ExplanationEngine leaves the defaults.
   double stability = 1.0;
-  /// stability(k-1) - stability(k); positive on drops. 0 for window 0.
   double drop_from_previous = 0.0;
   /// Missing significant symbols, most significant first, truncated to the
   /// engine's top_k. The paper's single-product explanation is the front
@@ -53,24 +57,26 @@ struct ExplanationOptions {
 
 /// \brief Produces per-window attrition explanations (section 3.2).
 ///
-/// For every window it lists the significant-but-absent symbols ranked by
-/// S(p,k), which is the product-level account of each stability decrease:
-/// the drop contributed by a missing symbol equals its significance share.
+/// For a window it lists the significant-but-absent symbols ranked by
+/// S(p,k), which is the product-level account of the window's stability
+/// decrease: the drop contributed by a missing symbol equals its
+/// significance share.
 class ExplanationEngine {
  public:
-  /// Takes an already-validated StabilityComputer (from
-  /// StabilityComputer::Make), so there is no unchecked-options path into
-  /// the engine.
-  explicit ExplanationEngine(StabilityComputer computer,
-                             ExplanationOptions options = {});
+  explicit ExplanationEngine(ExplanationOptions options = {});
 
-  /// Computes the stability series and an explanation per window.
-  std::vector<WindowExplanation> Explain(const WindowedHistory& history) const;
+  /// Explains window k = tracker.windows_seen() from the tracker that
+  /// scores it (S(p,k) over windows 0..k-1), the window's symbol union
+  /// `window` and the previous window's union `previous` (empty for window
+  /// 0). Both spans must be sorted. Call it just before window k closes,
+  /// e.g. with OnlineStabilityScorer::tracker() and current_symbols().
+  WindowExplanation Explain(const SignificanceTracker& tracker,
+                            std::span<const Symbol> window,
+                            std::span<const Symbol> previous) const;
 
   const ExplanationOptions& options() const { return options_; }
 
  private:
-  StabilityComputer computer_;
   ExplanationOptions options_;
 };
 

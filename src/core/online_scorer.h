@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "core/significance.h"
 #include "core/stability.h"
-#include "core/window.h"
+#include "core/symbol_mapper.h"
 #include "retail/types.h"
 
 namespace churnlab {
@@ -16,12 +16,12 @@ namespace core {
 
 /// \brief Streaming per-customer stability scorer.
 ///
-/// The batch pipeline (Windower + StabilityComputer) needs the whole
-/// history up front; production monitoring instead sees receipts as they
-/// happen. OnlineStabilityScorer consumes a chronological stream of
-/// (day, symbol-set) observations and emits one StabilityPoint per window
-/// as soon as the window closes — with results bit-identical to the batch
-/// pipeline on the same data (guaranteed by tests).
+/// OnlineStabilityScorer consumes a chronological stream of (day,
+/// symbol-set) observations and emits one StabilityPoint per window as soon
+/// as the window closes. It is the one scoring path: StabilityModel
+/// replays each customer's history through it, production monitoring feeds
+/// it receipts as they happen, and tests pit it against an independent
+/// reference series.
 ///
 /// The streaming logic lives in the shared kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct;
@@ -100,6 +100,15 @@ class OnlineStabilityScorer {
 
   /// Number of windows already emitted.
   int32_t windows_emitted() const { return tracker_.windows_seen(); }
+
+  /// Significance table as seen by the current window: S(p,k) over the
+  /// windows already emitted.
+  const SignificanceTracker& tracker() const { return tracker_; }
+
+  /// Union of the symbols observed in the current window so far, sorted.
+  std::span<const Symbol> current_symbols() const {
+    return state_.CurrentSymbols();
+  }
 
   /// Serializes the streaming state (tracker counters, the in-progress
   /// window's symbol union, stream position) so a restored scorer continues

@@ -8,7 +8,7 @@
 #include "common/binary_io.h"
 #include "common/result.h"
 #include "core/pow_cache.h"
-#include "core/window.h"
+#include "core/symbol_mapper.h"
 
 namespace churnlab {
 namespace core {
@@ -76,8 +76,8 @@ struct SignificanceOptions {
 /// Per-symbol state lives in dense Symbol-indexed vectors (symbols are
 /// dense ids produced by SymbolMapper), and alpha powers are served from a
 /// memoised PowCache filled with the same ClampedPow the scan-based oracle
-/// uses, so per-symbol significances agree bit-for-bit with
-/// ReferenceSignificanceTracker (see significance_reference.h).
+/// of the tests uses (tests/significance_reference.h), so per-symbol
+/// significances agree with it bit-for-bit.
 ///
 /// The math itself lives in the storage-agnostic kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct of
@@ -175,7 +175,7 @@ class SignificanceTracker {
 
   /// Folds window k's symbol set into the counters, making the tracker
   /// reflect window k+1. `window_symbols` must be sorted and deduplicated
-  /// (as produced by Windower).
+  /// (as kept by the streaming scorer).
   void AdvanceWindow(const std::vector<Symbol>& window_symbols);
 
   /// Number of windows folded in so far (the current k).

@@ -1,16 +1,21 @@
 #ifndef CHURNLAB_CORE_STABILITY_H_
 #define CHURNLAB_CORE_STABILITY_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
-
-#include "common/result.h"
-#include "core/significance.h"
-#include "core/window.h"
 
 namespace churnlab {
 namespace core {
 
-/// Stability of one window of one customer.
+/// Stability of one window of one customer (section 2 of the paper):
+///
+///   Stability_i^k = sum_{p in u_k} S(p,k) / sum_{p in I} S(p,k).
+///
+/// Stability is 1 when every significant product reappears in window k and
+/// decreases by the significance share of each missing product. Computed
+/// once, by kernel::CloseCurrentWindow (state_kernel.h), for the batch
+/// model, the streaming scorer and the serving fleet alike.
 struct StabilityPoint {
   int32_t window_index = 0;
   /// Stability_i^k in [0, 1].
@@ -35,71 +40,6 @@ struct StabilitySeries {
     return points.at(window).stability;
   }
 };
-
-/// \brief Computes the per-window stability series of section 2:
-///
-///   Stability_i^k = sum_{p in u_k} S(p,k) / sum_{p in I} S(p,k).
-///
-/// Stability is 1 when every significant product reappears in window k and
-/// decreases by the significance share of each missing product.
-class StabilityComputer {
- public:
-  /// Validates the significance options (alpha > 0, clamp >= 0, lambda in
-  /// (0, 1) for kEwma). The only way to construct one, per the library-wide
-  /// `static Result<T> Make(Options)` convention (docs/API.md): invalid
-  /// options surface as a Status instead of propagating into NaN
-  /// stabilities.
-  static Result<StabilityComputer> Make(SignificanceOptions options);
-
-  /// Computes the stability series of `history`. The companion overload
-  /// also exposes the tracker state at each window for explanation.
-  StabilitySeries Compute(const WindowedHistory& history) const;
-
-  /// Like Compute, but invokes `on_window(k, tracker, window)` for every
-  /// window *before* the tracker advances past it, i.e. with S(p,k) as seen
-  /// by window k. Used by the ExplanationEngine.
-  template <typename WindowFn>
-  StabilitySeries ComputeWithCallback(const WindowedHistory& history,
-                                      WindowFn&& on_window) const;
-
-  const SignificanceOptions& options() const { return options_; }
-
- private:
-  explicit StabilityComputer(SignificanceOptions options)
-      : options_(options) {}
-
-  SignificanceOptions options_;
-};
-
-// ---------------------------------------------------------------------------
-// Template implementation
-// ---------------------------------------------------------------------------
-
-template <typename WindowFn>
-StabilitySeries StabilityComputer::ComputeWithCallback(
-    const WindowedHistory& history, WindowFn&& on_window) const {
-  StabilitySeries series;
-  series.points.reserve(history.windows.size());
-  SignificanceTracker tracker(options_);
-  for (const Window& window : history.windows) {
-    StabilityPoint point;
-    point.window_index = window.index;
-    point.total_significance = tracker.TotalSignificance();
-    point.present_significance = tracker.PresentSignificance(window.symbols);
-    if (point.total_significance > 0.0) {
-      point.has_history = true;
-      point.stability =
-          point.present_significance / point.total_significance;
-    } else {
-      point.has_history = false;
-      point.stability = 1.0;
-    }
-    on_window(window.index, tracker, window);
-    series.points.push_back(point);
-    tracker.AdvanceWindow(window.symbols);
-  }
-  return series;
-}
 
 }  // namespace core
 }  // namespace churnlab

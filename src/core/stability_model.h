@@ -3,7 +3,6 @@
 
 #include <string>
 #include <vector>
-#include <utility>
 
 #include "common/result.h"
 #include "core/explanation.h"
@@ -11,7 +10,6 @@
 #include "core/significance.h"
 #include "core/stability.h"
 #include "core/symbol_mapper.h"
-#include "core/window.h"
 #include "retail/dataset.h"
 #include "retail/types.h"
 
@@ -92,6 +90,10 @@ struct SignificanceProfile {
 /// \brief Facade over windowing + significance + stability + explanation:
 /// score whole datasets and analyze individual customers.
 ///
+/// Every method replays each customer's receipts through an
+/// OnlineStabilityScorer, so batch scores are the streaming kernel's by
+/// construction.
+///
 /// \code
 ///   StabilityModelOptions options;
 ///   options.significance.alpha = 2.0;
@@ -132,14 +134,10 @@ class StabilityModel {
   const StabilityModelOptions& options() const { return options_; }
 
  private:
-  StabilityModel(StabilityModelOptions options, StabilityComputer computer)
-      : options_(options), computer_(std::move(computer)) {}
-
-  Result<Windower> MakeWindower(const retail::Dataset& dataset) const;
+  explicit StabilityModel(StabilityModelOptions options)
+      : options_(options) {}
 
   StabilityModelOptions options_;
-  /// Built once at Make time from the validated significance options.
-  StabilityComputer computer_;
 };
 
 }  // namespace core

@@ -194,8 +194,8 @@ void AdvanceWindow(TrackerState& ts, const SignificanceOptions& options,
   size_t new_symbols = 0;
   std::span<int32_t> counts = ts.ContainCounts();
   std::span<uint32_t> histogram = ts.ContainHistogram();
-  // Input is sorted (Windower invariant); skip duplicate neighbours so a
-  // malformed caller cannot make c(k) exceed the window count.
+  // Input is sorted (the scorer's window union); skip duplicate neighbours
+  // so a malformed caller cannot make c(k) exceed the window count.
   const Symbol* previous = nullptr;
   for (const Symbol& symbol : window_symbols) {
     if (previous != nullptr && *previous == symbol) continue;

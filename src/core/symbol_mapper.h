@@ -1,16 +1,23 @@
 #ifndef CHURNLAB_CORE_SYMBOL_MAPPER_H_
 #define CHURNLAB_CORE_SYMBOL_MAPPER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
-#include "core/window.h"
 #include "retail/item_dictionary.h"
 #include "retail/taxonomy.h"
 #include "retail/types.h"
 
 namespace churnlab {
 namespace core {
+
+/// Symbols are what the stability model observes: raw product ids at
+/// product granularity, segment ids at segment granularity (see
+/// SymbolMapper). They share the integer domain of retail ids.
+using Symbol = uint32_t;
+
+inline constexpr Symbol kInvalidSymbol = retail::kInvalidItem;
 
 /// \brief Maps purchased ItemIds into the symbol space a model observes.
 ///

@@ -22,21 +22,15 @@ constexpr MetricHelpEntry kInventory[] = {
     {"churnlab.core.alerts_sharp_drop", "monitor sharp-drop alerts"},
     {"churnlab.core.customers_scored", "customers through ScoreDataset"},
     {"churnlab.core.observe_latency_us",
-     "per-window scoring latency in microseconds (batch samples 1 in 16)"},
+     "per-observation scoring latency in microseconds (samples 1 in 16)"},
     {"churnlab.core.online_observations",
-     "OnlineStabilityScorer::Observe calls"},
+     "receipts observed by the streaming scorer, batch and online"},
     {"churnlab.core.online_windows_emitted",
-     "windows emitted by the online scorer"},
+     "windows emitted by the streaming scorer, batch and online"},
     {"churnlab.core.online_windows_per_sec",
      "online emission rate since the first emit"},
-    {"churnlab.core.receipts_windowed", "receipts binned into windows"},
     {"churnlab.core.score_customer_us",
      "per-customer scoring latency in microseconds"},
-    {"churnlab.core.stability_series_computed",
-     "per-customer stability series computed"},
-    {"churnlab.core.stability_windows_scored",
-     "windows scored in batch passes"},
-    {"churnlab.core.windows_built", "windows materialised by Windower::Build"},
     {"churnlab.core.windows_per_sec",
      "batch-scoring throughput of the last ScoreDataset"},
     {"churnlab.eval.auroc_computations", "per-window AUROC evaluations"},

@@ -17,6 +17,22 @@ function(run_cli)
   endif()
 endfunction()
 
+# Runs churnlab expecting failure; the error output must mention `needle`.
+function(run_cli_fails needle)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  RESULT_VARIABLE exit_code
+                  OUTPUT_VARIABLE output
+                  ERROR_VARIABLE errors)
+  if(exit_code EQUAL 0)
+    message(FATAL_ERROR "churnlab ${ARGN} succeeded:\n${output}")
+  endif()
+  string(FIND "${errors}" "${needle}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+      "churnlab ${ARGN} failed without '${needle}':\n${output}\n${errors}")
+  endif()
+endfunction()
+
 run_cli(simulate --out ${DATASET} --loyal 40 --defecting 40 --seed 9)
 run_cli(stats --data ${DATASET})
 run_cli(score --data ${DATASET} --out ${WORK_DIR}/scores.csv)
@@ -25,6 +41,19 @@ run_cli(profile --data ${DATASET} --customer 50)
 run_cli(profile --data ${DATASET} --customer 50 --at 6 --top 5)
 run_cli(evaluate --data ${DATASET} --first_month 12 --last_month 24)
 run_cli(forecast --data ${DATASET} --decision 14 --horizon 6)
+
+# Flag values beyond the option's integer type are rejected by name instead
+# of wrapping (2^32 + 2 would score with a window of 2, 2^32 + 1 would
+# explain customer 1, 2^32 would profile window 0), and a window span whose
+# length in days overflows is rejected by the model.
+run_cli_fails("--window 4294967298 is out of range"
+              score --data ${DATASET} --window 4294967298)
+run_cli_fails("--customer 4294967297 is out of range"
+              explain --data ${DATASET} --customer 4294967297)
+run_cli_fails("--at 4294967296 is out of range"
+              profile --data ${DATASET} --customer 50 --at 4294967296)
+run_cli_fails("window_span_months 100000000 overflows"
+              score --data ${DATASET} --window 100000000)
 
 # CSV round trip through the CLI.
 run_cli(simulate --out ${WORK_DIR}/smoke_csv --csv --loyal 20 --defecting 20

@@ -1,39 +1,45 @@
 #include "core/explanation.h"
 
-#include <algorithm>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "window_stream.h"
 
 namespace churnlab {
 namespace core {
 namespace {
 
-WindowedHistory FromSets(const std::vector<std::vector<Symbol>>& sets) {
-  WindowedHistory history;
-  for (size_t k = 0; k < sets.size(); ++k) {
-    Window window;
-    window.index = static_cast<int32_t>(k);
-    window.begin_day = static_cast<retail::Day>(k) * 60;
-    window.end_day = window.begin_day + 60;
-    window.symbols = sets[k];
-    std::sort(window.symbols.begin(), window.symbols.end());
-    history.windows.push_back(std::move(window));
+// Streams one symbol set per window and explains each window just before it
+// closes, then fills in stability and drop from the closed windows' points.
+std::vector<WindowExplanation> Explain(
+    const ExplanationEngine& engine,
+    const std::vector<std::vector<Symbol>>& sets) {
+  SignificanceOptions alpha2;
+  alpha2.alpha = 2.0;
+  std::vector<WindowExplanation> explanations;
+  std::vector<Symbol> previous;
+  const std::vector<StabilityPoint> points = StreamWindows(
+      sets, alpha2, [&](const OnlineStabilityScorer& scorer) {
+        const std::span<const Symbol> window = scorer.current_symbols();
+        explanations.push_back(
+            engine.Explain(scorer.tracker(), window, previous));
+        previous.assign(window.begin(), window.end());
+      });
+  for (size_t k = 0; k < explanations.size(); ++k) {
+    explanations[k].stability = points[k].stability;
+    explanations[k].drop_from_previous =
+        k == 0 ? 0.0 : points[k - 1].stability - points[k].stability;
   }
-  return history;
-}
-
-StabilityComputer Alpha2() {
-  SignificanceOptions options;
-  options.alpha = 2.0;
-  return StabilityComputer::Make(options).ValueOrDie();
+  return explanations;
 }
 
 TEST(ExplanationEngine, ArgmaxMissingProductMatchesPaperDefinition) {
   // History: a bought 3x, b bought 1x; final window has neither. The
   // explanation must name a (the most significant missing product) first.
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations =
-      engine.Explain(FromSets({{1}, {1}, {1, 2}, {}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1}, {1}, {1, 2}, {}});
   ASSERT_EQ(explanations.size(), 4u);
   const WindowExplanation& last = explanations[3];
   ASSERT_GE(last.missing.size(), 2u);
@@ -42,15 +48,15 @@ TEST(ExplanationEngine, ArgmaxMissingProductMatchesPaperDefinition) {
 }
 
 TEST(ExplanationEngine, NoMissingWhenEverythingPresent) {
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations = engine.Explain(FromSets({{1, 2}, {1, 2}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1, 2}, {1, 2}});
   EXPECT_TRUE(explanations[1].missing.empty());
   EXPECT_EQ(explanations[1].MostSignificantMissing(), kInvalidSymbol);
 }
 
 TEST(ExplanationEngine, FirstWindowHasNoExplanation) {
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations = engine.Explain(FromSets({{1, 2}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1, 2}});
   ASSERT_EQ(explanations.size(), 1u);
   EXPECT_TRUE(explanations[0].missing.empty());
   EXPECT_DOUBLE_EQ(explanations[0].drop_from_previous, 0.0);
@@ -59,9 +65,8 @@ TEST(ExplanationEngine, FirstWindowHasNoExplanation) {
 TEST(ExplanationEngine, NewlyMissingFlagsOnlyFreshLosses) {
   // b present in window 1, missing from window 2 onward: newly_missing in
   // window 2, not in window 3.
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations =
-      engine.Explain(FromSets({{1, 2}, {1, 2}, {1}, {1}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1, 2}, {1, 2}, {1}, {1}});
   const auto find_b = [](const WindowExplanation& explanation) {
     for (const MissingSymbol& missing : explanation.missing) {
       if (missing.symbol == 2) return missing;
@@ -78,9 +83,8 @@ TEST(ExplanationEngine, SharesSumToStabilityDeficit) {
   ExplanationOptions options;
   options.top_k = 100;
   options.min_significance_share = 0.0;
-  const ExplanationEngine engine(Alpha2(), options);
-  const auto explanations =
-      engine.Explain(FromSets({{1, 2, 3}, {1, 2, 3}, {1}}));
+  const ExplanationEngine engine(options);
+  const auto explanations = Explain(engine, {{1, 2, 3}, {1, 2, 3}, {1}});
   const WindowExplanation& last = explanations[2];
   double share_sum = 0.0;
   for (const MissingSymbol& missing : last.missing) {
@@ -92,9 +96,8 @@ TEST(ExplanationEngine, SharesSumToStabilityDeficit) {
 TEST(ExplanationEngine, TopKTruncates) {
   ExplanationOptions options;
   options.top_k = 2;
-  const ExplanationEngine engine(Alpha2(), options);
-  const auto explanations =
-      engine.Explain(FromSets({{1, 2, 3, 4, 5}, {}}));
+  const ExplanationEngine engine(options);
+  const auto explanations = Explain(engine, {{1, 2, 3, 4, 5}, {}});
   ASSERT_EQ(explanations.size(), 2u);
   EXPECT_EQ(explanations[1].missing.size(), 2u);
 }
@@ -103,18 +106,17 @@ TEST(ExplanationEngine, MinShareFiltersNoise) {
   // Product 2 bought once long ago has tiny significance by window 5.
   ExplanationOptions options;
   options.min_significance_share = 0.2;
-  const ExplanationEngine engine(Alpha2(), options);
-  const auto explanations = engine.Explain(
-      FromSets({{1, 2}, {1}, {1}, {1}, {1}, {1}}));
+  const ExplanationEngine engine(options);
+  const auto explanations =
+      Explain(engine, {{1, 2}, {1}, {1}, {1}, {1}, {1}});
   for (const MissingSymbol& missing : explanations[5].missing) {
     EXPECT_GE(missing.significance_share, 0.2);
   }
 }
 
 TEST(ExplanationEngine, DropFromPreviousMatchesSeries) {
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations =
-      engine.Explain(FromSets({{1, 2}, {1, 2}, {1}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1, 2}, {1, 2}, {1}});
   // Window 1 stability 1.0; window 2 drops to S(1)/(S(1)+S(2)).
   EXPECT_NEAR(explanations[2].drop_from_previous,
               explanations[1].stability - explanations[2].stability, 1e-12);
@@ -122,9 +124,8 @@ TEST(ExplanationEngine, DropFromPreviousMatchesSeries) {
 }
 
 TEST(ExplanationEngine, MissingSortedBySignificanceDescending) {
-  const ExplanationEngine engine(Alpha2());
-  const auto explanations = engine.Explain(
-      FromSets({{1}, {1, 2}, {1, 2, 3}, {}}));
+  const ExplanationEngine engine;
+  const auto explanations = Explain(engine, {{1}, {1, 2}, {1, 2, 3}, {}});
   const WindowExplanation& last = explanations[3];
   for (size_t i = 1; i < last.missing.size(); ++i) {
     EXPECT_GE(last.missing[i - 1].significance, last.missing[i].significance);

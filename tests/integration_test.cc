@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/online_scorer.h"
 #include "core/stability_model.h"
 #include "core/symbol_mapper.h"
 #include "datagen/scenario.h"
@@ -15,6 +16,7 @@
 #include "eval/grid_search.h"
 #include "retail/dataset.h"
 #include "rfm/rfm_model.h"
+#include "significance_reference.h"
 
 namespace churnlab {
 namespace {
@@ -80,6 +82,8 @@ TEST(Integration, ScoresSurviveCsvRoundTrip) {
 }
 
 TEST(Integration, OnlineScorerMatchesModelOnSimulatedCustomers) {
+  // The model replays every customer through the streaming scorer; check
+  // its scores against the independent reference series.
   const retail::Dataset dataset =
       datagen::MakePaperDataset(SmallScenario()).ValueOrDie();
   core::StabilityModelOptions options;
@@ -90,38 +94,26 @@ TEST(Integration, OnlineScorerMatchesModelOnSimulatedCustomers) {
   const auto mapper = core::SymbolMapper::Make(retail::Granularity::kSegment,
                                                &dataset.taxonomy())
                           .ValueOrDie();
-  const retail::Day horizon =
-      static_cast<retail::Day>(batch_scores.num_windows()) * 60;
 
-  // Stream the first 10 customers and compare every window.
+  // Compare every window of the first 10 customers.
   const auto& customers = dataset.store().Customers();
   for (size_t i = 0; i < 10 && i < customers.size(); ++i) {
-    core::OnlineStabilityScorer::Options online_options;
-    online_options.significance = options.significance;
-    online_options.window_span_days = 60;
-    auto scorer =
-        core::OnlineStabilityScorer::Make(online_options).ValueOrDie();
-    std::vector<core::StabilityPoint> streamed;
-    for (const retail::Receipt& receipt :
-         dataset.store().History(customers[i])) {
-      std::vector<core::Symbol> symbols;
-      for (const retail::ItemId item : receipt.items) {
-        symbols.push_back(mapper.Map(item));
-      }
-      std::sort(symbols.begin(), symbols.end());
-      const auto emitted = scorer.Observe(receipt.day, symbols).ValueOrDie();
-      streamed.insert(streamed.end(), emitted.begin(), emitted.end());
-    }
-    const auto tail = scorer.AdvanceTo(horizon).ValueOrDie();
-    streamed.insert(streamed.end(), tail.begin(), tail.end());
+    const std::vector<core::StabilityPoint> reference =
+        core::ReferenceStabilitySeries(
+            dataset.store().History(customers[i]), mapper, 60,
+            batch_scores.num_windows(), options.significance);
+    const core::StabilitySeries series =
+        model.ScoreCustomer(dataset, customers[i]).ValueOrDie();
+    const std::string what = "customer " + std::to_string(customers[i]);
+    core::ExpectMatchesReferenceSeries(series.points, reference, what);
 
     const size_t row = batch_scores.RowOf(customers[i]).ValueOrDie();
-    ASSERT_EQ(streamed.size(),
+    ASSERT_EQ(reference.size(),
               static_cast<size_t>(batch_scores.num_windows()));
-    for (size_t k = 0; k < streamed.size(); ++k) {
-      ASSERT_DOUBLE_EQ(streamed[k].stability,
-                       batch_scores.At(row, static_cast<int32_t>(k)))
-          << "customer " << customers[i] << " window " << k;
+    for (size_t k = 0; k < reference.size(); ++k) {
+      core::ExpectClose(batch_scores.At(row, static_cast<int32_t>(k)),
+                        reference[k].stability,
+                        what + " window " + std::to_string(k));
     }
   }
 }

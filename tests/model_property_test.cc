@@ -8,8 +8,8 @@
 #include "common/random.h"
 #include "core/stability.h"
 #include "core/stability_model.h"
-#include "core/window.h"
 #include "datagen/scenario.h"
+#include "window_stream.h"
 
 namespace churnlab {
 namespace core {
@@ -175,37 +175,30 @@ TEST(ModelProperties, SymbolRelabelingPreservesStabilitySeries) {
   rng.Shuffle(&permutation);
 
   for (int trial = 0; trial < 10; ++trial) {
-    WindowedHistory original;
-    WindowedHistory relabeled;
+    std::vector<std::vector<Symbol>> original;
+    std::vector<std::vector<Symbol>> relabeled;
     const size_t windows = 3 + rng.NextUint64(10);
     for (size_t k = 0; k < windows; ++k) {
-      Window window;
-      window.index = static_cast<int32_t>(k);
+      std::vector<Symbol> window;
       const size_t size = rng.NextUint64(8);
       for (size_t i = 0; i < size; ++i) {
-        window.symbols.push_back(
+        window.push_back(
             static_cast<Symbol>(rng.NextUint64(permutation.size())));
       }
-      std::sort(window.symbols.begin(), window.symbols.end());
-      window.symbols.erase(
-          std::unique(window.symbols.begin(), window.symbols.end()),
-          window.symbols.end());
-      Window mapped = window;
-      for (Symbol& symbol : mapped.symbols) symbol = permutation[symbol];
-      std::sort(mapped.symbols.begin(), mapped.symbols.end());
-      original.windows.push_back(std::move(window));
-      relabeled.windows.push_back(std::move(mapped));
+      std::vector<Symbol> mapped = window;
+      for (Symbol& symbol : mapped) symbol = permutation[symbol];
+      original.push_back(std::move(window));
+      relabeled.push_back(std::move(mapped));
     }
     SignificanceOptions significance;
     significance.alpha = 2.0;
-    const StabilityComputer computer =
-        StabilityComputer::Make(significance).ValueOrDie();
-    const StabilitySeries series_a = computer.Compute(original);
-    const StabilitySeries series_b = computer.Compute(relabeled);
+    const std::vector<StabilityPoint> series_a =
+        StreamWindows(original, significance);
+    const std::vector<StabilityPoint> series_b =
+        StreamWindows(relabeled, significance);
     ASSERT_EQ(series_a.size(), series_b.size());
     for (size_t k = 0; k < series_a.size(); ++k) {
-      ASSERT_DOUBLE_EQ(series_a.points[k].stability,
-                       series_b.points[k].stability);
+      ASSERT_DOUBLE_EQ(series_a[k].stability, series_b[k].stability);
     }
   }
 }

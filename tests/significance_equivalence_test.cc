@@ -7,26 +7,17 @@
 #include "core/significance.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/significance_reference.h"
+#include "significance_reference.h"
 
 namespace churnlab {
 namespace core {
 namespace {
-
-constexpr double kTolerance = 1e-9;
-
-void ExpectClose(double actual, double expected, const std::string& what) {
-  const double scale =
-      std::max(1.0, std::max(std::fabs(actual), std::fabs(expected)));
-  EXPECT_NEAR(actual, expected, kTolerance * scale) << what;
-}
 
 /// One random sorted+deduplicated window symbol set over [0, catalogue).
 std::vector<Symbol> RandomWindow(Rng* rng, size_t catalogue) {

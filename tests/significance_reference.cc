@@ -1,6 +1,10 @@
-#include "core/significance_reference.h"
+#include "significance_reference.h"
 
 #include <algorithm>
+#include <cmath>
+#include <set>
+
+#include <gtest/gtest.h>
 
 #include "common/macros.h"
 #include "common/math_util.h"
@@ -111,6 +115,64 @@ void ReferenceSignificanceTracker::AdvanceWindow(
     previous = &symbol;
   }
   ++windows_seen_;
+}
+
+void ExpectClose(double actual, double expected,
+                         const std::string& what) {
+  const double scale =
+      std::max(1.0, std::max(std::fabs(actual), std::fabs(expected)));
+  EXPECT_NEAR(actual, expected, kReferenceTolerance * scale) << what;
+}
+
+std::vector<StabilityPoint> ReferenceStabilitySeries(
+    std::span<const retail::Receipt> receipts, const SymbolMapper& mapper,
+    retail::Day span_days, int32_t num_windows,
+    const SignificanceOptions& options) {
+  std::vector<std::set<Symbol>> windows(static_cast<size_t>(num_windows));
+  for (const retail::Receipt& receipt : receipts) {
+    if (receipt.day < 0 || receipt.day / span_days >= num_windows) continue;
+    for (const retail::ItemId item : receipt.items) {
+      const Symbol symbol = mapper.Map(item);
+      if (symbol != kInvalidSymbol) {
+        windows[static_cast<size_t>(receipt.day / span_days)].insert(symbol);
+      }
+    }
+  }
+  ReferenceSignificanceTracker tracker =
+      ReferenceSignificanceTracker::Make(options).ValueOrDie();
+  std::vector<StabilityPoint> series;
+  for (int32_t k = 0; k < num_windows; ++k) {
+    const std::set<Symbol>& set = windows[static_cast<size_t>(k)];
+    const std::vector<Symbol> window(set.begin(), set.end());
+    StabilityPoint point;
+    point.window_index = k;
+    point.total_significance = tracker.TotalSignificance();
+    point.present_significance = tracker.PresentSignificance(window);
+    point.has_history = point.total_significance > 0.0;
+    point.stability = point.has_history ? point.present_significance /
+                                              point.total_significance
+                                        : 1.0;
+    series.push_back(point);
+    tracker.AdvanceWindow(window);
+  }
+  return series;
+}
+
+void ExpectMatchesReferenceSeries(std::span<const StabilityPoint> actual,
+                                  std::span<const StabilityPoint> reference,
+                                  const std::string& what) {
+  ASSERT_EQ(actual.size(), reference.size()) << what;
+  for (size_t k = 0; k < actual.size(); ++k) {
+    const std::string at = what + " window " + std::to_string(k);
+    EXPECT_EQ(actual[k].window_index, reference[k].window_index) << at;
+    EXPECT_EQ(actual[k].has_history, reference[k].has_history) << at;
+    ExpectClose(actual[k].stability, reference[k].stability,
+                        at + " stability");
+    ExpectClose(actual[k].present_significance,
+                        reference[k].present_significance, at + " present");
+    ExpectClose(actual[k].total_significance,
+                        reference[k].total_significance, at + " total");
+  }
 }
 
 }  // namespace core

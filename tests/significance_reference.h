@@ -1,13 +1,17 @@
-#ifndef CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
-#define CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
+#ifndef CHURNLAB_TESTS_SIGNIFICANCE_REFERENCE_H_
+#define CHURNLAB_TESTS_SIGNIFICANCE_REFERENCE_H_
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "core/significance.h"
-#include "core/window.h"
+#include "core/stability.h"
+#include "core/symbol_mapper.h"
+#include "retail/types.h"
 
 namespace churnlab {
 namespace core {
@@ -19,12 +23,11 @@ namespace core {
 /// seen-symbol table and calling ClampedPow per entry — O(seen catalogue)
 /// per window, O(windows x catalogue) per customer series. That cost is why
 /// the production tracker went incremental; this class exists so property
-/// tests (significance_equivalence_test.cc) and benchmarks can pit the
-/// O(|u_k|) implementation against the direct formula on arbitrary
-/// histories.
+/// tests (significance_equivalence_test.cc) can pit the O(|u_k|)
+/// implementation against the direct formula on arbitrary histories.
 ///
-/// Do not use on hot paths. Semantics are the paper's, identical to
-/// SignificanceTracker within floating-point reassociation error.
+/// Semantics are the paper's, identical to SignificanceTracker within
+/// floating-point reassociation error.
 class ReferenceSignificanceTracker {
  public:
   explicit ReferenceSignificanceTracker(SignificanceOptions options);
@@ -68,7 +71,32 @@ class ReferenceSignificanceTracker {
   int32_t windows_seen_ = 0;
 };
 
+/// Relative agreement bound between the production kernels and this
+/// oracle: the two sum the same terms in different orders.
+inline constexpr double kReferenceTolerance = 1e-9;
+
+/// EXPECTs |actual - expected| <= kReferenceTolerance * max(1, |actual|,
+/// |expected|), labelling a failure with `what`.
+void ExpectClose(double actual, double expected,
+                         const std::string& what);
+
+/// The paper's stability series of one customer, independent of the
+/// streaming kernel: window k's union u_k is a std::set of the mapped
+/// symbols of the receipts with day in [k * span_days, (k+1) * span_days),
+/// for k < num_windows, scored with ReferenceSignificanceTracker.
+std::vector<StabilityPoint> ReferenceStabilitySeries(
+    std::span<const retail::Receipt> receipts, const SymbolMapper& mapper,
+    retail::Day span_days, int32_t num_windows,
+    const SignificanceOptions& options);
+
+/// EXPECTs `actual` to match `reference` window by window: same indices
+/// and burn-in flags, significances and stability within
+/// kReferenceTolerance.
+void ExpectMatchesReferenceSeries(std::span<const StabilityPoint> actual,
+                                  std::span<const StabilityPoint> reference,
+                                  const std::string& what);
+
 }  // namespace core
 }  // namespace churnlab
 
-#endif  // CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
+#endif  // CHURNLAB_TESTS_SIGNIFICANCE_REFERENCE_H_

@@ -1,5 +1,7 @@
 #include "core/stability_model.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace churnlab {
@@ -64,6 +66,16 @@ TEST(StabilityModel, MakeValidatesOptions) {
   StabilityModelOptions bad_span = DefaultOptions();
   bad_span.window_span_months = 0;
   EXPECT_FALSE(StabilityModel::Make(bad_span).ok());
+  // Spans whose length in days overflows the day type.
+  StabilityModelOptions huge_span = DefaultOptions();
+  huge_span.window_span_months =
+      std::numeric_limits<retail::Day>::max() / retail::kDaysPerMonth + 1;
+  EXPECT_TRUE(StabilityModel::Make(huge_span).status().IsInvalidArgument());
+  huge_span.window_span_months = 100000000;
+  EXPECT_TRUE(StabilityModel::Make(huge_span).status().IsInvalidArgument());
+  huge_span.window_span_months =
+      std::numeric_limits<retail::Day>::max() / retail::kDaysPerMonth;
+  EXPECT_TRUE(StabilityModel::Make(huge_span).ok());
   EXPECT_TRUE(StabilityModel::Make(DefaultOptions()).ok());
 }
 

@@ -1,12 +1,23 @@
-#include "core/window.h"
+// Windowing of the paper's D^w_i: consecutive, non-overlapping, equal-span
+// windows anchored at day 0, each holding the union u_k of the symbols
+// bought inside it. The streaming scorer does the windowing, and
+// StabilityModel's replay adds the dataset-wide horizon; both are checked
+// here.
 
 #include <gtest/gtest.h>
+
+#include <vector>
+
+#include "core/online_scorer.h"
+#include "core/stability_model.h"
+#include "retail/dataset.h"
 
 namespace churnlab {
 namespace core {
 namespace {
 
-retail::Receipt MakeReceipt(retail::Day day, std::vector<retail::ItemId> items) {
+retail::Receipt MakeReceipt(retail::Day day,
+                            std::vector<retail::ItemId> items) {
   retail::Receipt receipt;
   receipt.customer = 1;
   receipt.day = day;
@@ -15,145 +26,172 @@ retail::Receipt MakeReceipt(retail::Day day, std::vector<retail::ItemId> items) 
   return receipt;
 }
 
-Symbol Identity(retail::ItemId item) { return item; }
+retail::Dataset MakeDataset(std::vector<retail::Receipt> receipts) {
+  retail::Dataset dataset;
+  for (retail::Receipt& receipt : receipts) {
+    EXPECT_TRUE(dataset.mutable_store().Append(std::move(receipt)).ok());
+  }
+  dataset.Finalize();
+  return dataset;
+}
+
+/// Two-month windows (60 days) at product granularity: symbols are item ids.
+StabilityModel ProductModel(int32_t num_windows = -1) {
+  StabilityModelOptions options;
+  options.granularity = retail::Granularity::kProduct;
+  options.num_windows = num_windows;
+  return StabilityModel::Make(options).ValueOrDie();
+}
+
+OnlineStabilityScorer SpanScorer(retail::Day span_days) {
+  OnlineStabilityScorer::Options options;
+  options.window_span_days = span_days;
+  return OnlineStabilityScorer::Make(options).ValueOrDie();
+}
 
 TEST(Windower, MakeValidatesOptions) {
-  WindowerOptions bad_span;
+  OnlineStabilityScorer::Options bad_span;
   bad_span.window_span_days = 0;
-  EXPECT_TRUE(Windower::Make(bad_span).status().IsInvalidArgument());
-  WindowerOptions bad_origin;
+  EXPECT_TRUE(
+      OnlineStabilityScorer::Make(bad_span).status().IsInvalidArgument());
+  OnlineStabilityScorer::Options bad_origin;
   bad_origin.origin_day = -1;
-  EXPECT_TRUE(Windower::Make(bad_origin).status().IsInvalidArgument());
-  EXPECT_TRUE(Windower::Make(WindowerOptions{}).ok());
+  EXPECT_TRUE(
+      OnlineStabilityScorer::Make(bad_origin).status().IsInvalidArgument());
+  EXPECT_TRUE(OnlineStabilityScorer::Make({}).ok());
 }
 
 TEST(Windower, WindowIndexOfAndCoverage) {
-  WindowerOptions options;
-  options.window_span_days = 60;
-  const Windower windower(options);
-  EXPECT_EQ(windower.WindowIndexOf(0), 0);
-  EXPECT_EQ(windower.WindowIndexOf(59), 0);
-  EXPECT_EQ(windower.WindowIndexOf(60), 1);
-  EXPECT_EQ(windower.WindowsToCover(0), 1);
-  EXPECT_EQ(windower.WindowsToCover(59), 1);
-  EXPECT_EQ(windower.WindowsToCover(60), 2);
-  EXPECT_EQ(windower.WindowsToCover(-5), 0);
+  OnlineStabilityScorer scorer = SpanScorer(60);
+  ASSERT_TRUE(scorer.Observe(0, {1}).ok());
+  EXPECT_EQ(scorer.current_window(), 0);
+  ASSERT_TRUE(scorer.Observe(59, {1}).ok());
+  EXPECT_EQ(scorer.current_window(), 0);
+  ASSERT_TRUE(scorer.Observe(60, {1}).ok());
+  EXPECT_EQ(scorer.current_window(), 1);
+
+  const StabilityModel model = ProductModel();
+  EXPECT_EQ(model.NumWindowsFor(MakeDataset({MakeReceipt(0, {1})})), 1);
+  EXPECT_EQ(model.NumWindowsFor(MakeDataset({MakeReceipt(59, {1})})), 1);
+  EXPECT_EQ(model.NumWindowsFor(MakeDataset({MakeReceipt(60, {1})})), 2);
+  EXPECT_EQ(model.NumWindowsFor(MakeDataset({})), 0);
 }
 
 TEST(Windower, BuildsUnionPerWindow) {
-  std::vector<retail::Receipt> receipts = {
+  OnlineStabilityScorer scorer = SpanScorer(60);
+  ASSERT_TRUE(scorer.Observe(1, {1, 2}).ok());
+  ASSERT_TRUE(scorer.Observe(30, {3, 2}).ok());
+  EXPECT_EQ(std::vector<Symbol>(scorer.current_symbols().begin(),
+                                scorer.current_symbols().end()),
+            (std::vector<Symbol>{1, 2, 3}));
+
+  const retail::Dataset dataset = MakeDataset({
       MakeReceipt(1, {1, 2}),
       MakeReceipt(30, {2, 3}),
       MakeReceipt(65, {4}),
-  };
-  WindowerOptions options;
-  options.window_span_days = 60;
-  const Windower windower(options);
-  const WindowedHistory history =
-      windower.Build(std::span<const retail::Receipt>(receipts), Identity);
-  ASSERT_EQ(history.num_windows(), 2u);
-  EXPECT_EQ(history.windows[0].symbols, (std::vector<Symbol>{1, 2, 3}));
-  EXPECT_EQ(history.windows[0].num_receipts, 2u);
-  EXPECT_DOUBLE_EQ(history.windows[0].spend, 10.0);
-  EXPECT_EQ(history.windows[1].symbols, (std::vector<Symbol>{4}));
+  });
+  const CustomerReport report =
+      ProductModel().AnalyzeCustomer(dataset, 1).ValueOrDie();
+  ASSERT_EQ(report.windows.size(), 2u);
+  EXPECT_EQ(report.windows[0].basket_union_size, 3u);
+  EXPECT_EQ(report.windows[0].num_receipts, 2u);
+  EXPECT_EQ(report.windows[1].basket_union_size, 1u);
+  EXPECT_EQ(report.windows[1].num_receipts, 1u);
 }
 
 TEST(Windower, EmptyWindowsMaterialised) {
-  std::vector<retail::Receipt> receipts = {
-      MakeReceipt(1, {1}),
-      MakeReceipt(200, {2}),
-  };
-  WindowerOptions options;
-  options.window_span_days = 60;
-  const Windower windower(options);
-  const WindowedHistory history =
-      windower.Build(std::span<const retail::Receipt>(receipts), Identity);
-  ASSERT_EQ(history.num_windows(), 4u);
-  EXPECT_TRUE(history.windows[1].symbols.empty());
-  EXPECT_EQ(history.windows[1].num_receipts, 0u);
-  EXPECT_TRUE(history.windows[2].symbols.empty());
-  EXPECT_FALSE(history.windows[3].symbols.empty());
+  const retail::Dataset dataset =
+      MakeDataset({MakeReceipt(1, {1}), MakeReceipt(200, {2})});
+  const CustomerReport report =
+      ProductModel().AnalyzeCustomer(dataset, 1).ValueOrDie();
+  ASSERT_EQ(report.windows.size(), 4u);
+  for (const size_t k : {1u, 2u}) {
+    EXPECT_EQ(report.windows[k].basket_union_size, 0u);
+    EXPECT_EQ(report.windows[k].num_receipts, 0u);
+    EXPECT_DOUBLE_EQ(report.windows[k].stability, 0.0);
+  }
+  EXPECT_EQ(report.windows[3].basket_union_size, 1u);
 }
 
 TEST(Windower, FixedNumWindowsDropsOutOfRangeReceipts) {
-  std::vector<retail::Receipt> receipts = {
+  const retail::Dataset dataset = MakeDataset({
       MakeReceipt(1, {1}),
       MakeReceipt(500, {2}),  // beyond the fixed horizon
-  };
-  WindowerOptions options;
-  options.window_span_days = 60;
-  options.num_windows = 2;
-  const Windower windower(options);
-  const WindowedHistory history =
-      windower.Build(std::span<const retail::Receipt>(receipts), Identity);
-  ASSERT_EQ(history.num_windows(), 2u);
-  EXPECT_EQ(history.windows[0].symbols, (std::vector<Symbol>{1}));
-  EXPECT_TRUE(history.windows[1].symbols.empty());
+  });
+  const CustomerReport report =
+      ProductModel(2).AnalyzeCustomer(dataset, 1).ValueOrDie();
+  ASSERT_EQ(report.windows.size(), 2u);
+  EXPECT_EQ(report.windows[0].basket_union_size, 1u);
+  EXPECT_EQ(report.windows[1].basket_union_size, 0u);
+  EXPECT_EQ(report.windows[1].num_receipts, 0u);
+  EXPECT_EQ(ProductModel(2).ScoreCustomer(dataset, 1).ValueOrDie().size(), 2u);
 }
 
 TEST(Windower, EmptyHistoryNoWindows) {
-  const Windower windower(WindowerOptions{});
-  const WindowedHistory history =
-      windower.Build(std::span<const retail::Receipt>(), Identity);
-  EXPECT_EQ(history.num_windows(), 0u);
+  const retail::Dataset dataset = MakeDataset({MakeReceipt(1, {1})});
+  EXPECT_EQ(ProductModel(0).ScoreCustomer(dataset, 1).ValueOrDie().size(), 0u);
+  EXPECT_TRUE(ProductModel(0).AnalyzeCustomer(dataset, 1).ValueOrDie()
+                  .windows.empty());
 }
 
 TEST(Windower, MapperCanMergeAndDropSymbols) {
-  std::vector<retail::Receipt> receipts = {MakeReceipt(1, {1, 2, 3, 4})};
-  WindowerOptions options;
-  options.window_span_days = 60;
-  const Windower windower(options);
-  const WindowedHistory history = windower.Build(
-      std::span<const retail::Receipt>(receipts), [](retail::ItemId item) {
-        if (item == 4) return kInvalidSymbol;  // dropped
-        return Symbol{100};                    // all merge to one symbol
-      });
-  ASSERT_EQ(history.num_windows(), 1u);
-  EXPECT_EQ(history.windows[0].symbols, (std::vector<Symbol>{100}));
+  // The scorer drops kInvalidSymbol and merges repeats.
+  OnlineStabilityScorer scorer = SpanScorer(60);
+  ASSERT_TRUE(scorer.Observe(1, {100, kInvalidSymbol, 100}).ok());
+  EXPECT_EQ(std::vector<Symbol>(scorer.current_symbols().begin(),
+                                scorer.current_symbols().end()),
+            (std::vector<Symbol>{100}));
+
+  // At segment granularity the items of one segment merge into one symbol;
+  // an unassigned item keeps its own bucket.
+  retail::Dataset dataset = MakeDataset({MakeReceipt(1, {1, 2, 3, 4})});
+  const retail::DepartmentId department =
+      dataset.mutable_taxonomy().AddDepartment("all");
+  const retail::SegmentId segment =
+      dataset.mutable_taxonomy().AddSegment("s", department).ValueOrDie();
+  for (const retail::ItemId item : {1u, 2u, 3u}) {
+    ASSERT_TRUE(dataset.mutable_taxonomy().AssignItem(item, segment).ok());
+  }
+  StabilityModelOptions options;
+  options.granularity = retail::Granularity::kSegment;
+  const CustomerReport report = StabilityModel::Make(options)
+                                    .ValueOrDie()
+                                    .AnalyzeCustomer(dataset, 1)
+                                    .ValueOrDie();
+  ASSERT_EQ(report.windows.size(), 1u);
+  EXPECT_EQ(report.windows[0].basket_union_size, 2u);
 }
 
-TEST(Window, ContainsUsesBinarySearch) {
-  Window window;
-  window.symbols = {2, 5, 9};
-  EXPECT_TRUE(window.Contains(2));
-  EXPECT_TRUE(window.Contains(9));
-  EXPECT_FALSE(window.Contains(3));
-  EXPECT_FALSE(window.Contains(100));
-}
-
-// Property suite: windows are consecutive, non-overlapping, equal span,
-// and receipts land in the window containing their day.
+// Property suite: windows are consecutive and equal span, and every receipt
+// lands in the window containing its day.
 class WindowerPropertyTest : public ::testing::TestWithParam<int32_t> {};
 
 TEST_P(WindowerPropertyTest, InvariantsHold) {
-  const int32_t span = GetParam();
-  std::vector<retail::Receipt> receipts;
+  const retail::Day span = GetParam();
+  OnlineStabilityScorer scorer = SpanScorer(span);
+  // The symbol of each observation is its day.
+  std::vector<Symbol> symbols_seen;
+  const auto check_and_close = [&] {
+    const retail::Day begin = scorer.current_window() * span;
+    for (const Symbol symbol : scorer.current_symbols()) {
+      EXPECT_GE(static_cast<retail::Day>(symbol), begin);
+      EXPECT_LT(static_cast<retail::Day>(symbol), begin + span);
+      symbols_seen.push_back(symbol);
+    }
+    const int32_t closing = scorer.current_window();
+    const auto closed = scorer.AdvanceTo(begin + span).ValueOrDie();
+    ASSERT_EQ(closed.size(), 1u);
+    EXPECT_EQ(closed[0].window_index, closing);
+  };
+  std::vector<Symbol> days;
   for (retail::Day day = 0; day < 400; day += 13) {
-    receipts.push_back(MakeReceipt(day, {static_cast<retail::ItemId>(day)}));
+    while (scorer.current_window() < day / span) check_and_close();
+    ASSERT_TRUE(scorer.Observe(day, {static_cast<Symbol>(day)}).ok());
+    days.push_back(static_cast<Symbol>(day));
   }
-  WindowerOptions options;
-  options.window_span_days = span;
-  const Windower windower(options);
-  const WindowedHistory history =
-      windower.Build(std::span<const retail::Receipt>(receipts), Identity);
-
-  ASSERT_GT(history.num_windows(), 0u);
-  size_t receipts_seen = 0;
-  for (size_t k = 0; k < history.num_windows(); ++k) {
-    const Window& window = history.windows[k];
-    EXPECT_EQ(window.index, static_cast<int32_t>(k));
-    EXPECT_EQ(window.end_day - window.begin_day, span);
-    if (k > 0) {
-      EXPECT_EQ(window.begin_day, history.windows[k - 1].end_day);
-    }
-    receipts_seen += window.num_receipts;
-    // Each symbol (== receipt day here) must fall inside the window.
-    for (const Symbol symbol : window.symbols) {
-      EXPECT_GE(static_cast<retail::Day>(symbol), window.begin_day);
-      EXPECT_LT(static_cast<retail::Day>(symbol), window.end_day);
-    }
-  }
-  EXPECT_EQ(receipts_seen, receipts.size());
+  check_and_close();
+  EXPECT_EQ(scorer.current_window(), 390 / span + 1);
+  EXPECT_EQ(symbols_seen, days);
 }
 
 INSTANTIATE_TEST_SUITE_P(Spans, WindowerPropertyTest,

@@ -33,6 +33,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "churnlab.h"
@@ -52,6 +53,17 @@
 
 namespace churnlab {
 namespace {
+
+// Narrows a 64-bit flag value to T; a value T cannot hold is an error
+// naming the flag rather than a silent wrap.
+template <typename T, typename V>
+Result<T> NarrowFlag(const char* flag, V value) {
+  if (!std::in_range<T>(value)) {
+    return Status::InvalidArgument("--" + std::string(flag) + " " +
+                                   std::to_string(value) + " is out of range");
+  }
+  return static_cast<T>(value);
+}
 
 Result<api::Dataset> LoadDataset(const std::string& path) {
   if (path.empty()) {
@@ -80,8 +92,10 @@ Status RunSimulate(int argc, const char* const* argv) {
   api::ScenarioConfig config;
   config.population.num_loyal = loyal;
   config.population.num_defecting = defecting;
-  config.num_months = static_cast<int32_t>(months);
-  config.population.attrition.onset_month = static_cast<int32_t>(onset);
+  CHURNLAB_ASSIGN_OR_RETURN(config.num_months,
+                            NarrowFlag<int32_t>("months", months));
+  CHURNLAB_ASSIGN_OR_RETURN(config.population.attrition.onset_month,
+                            NarrowFlag<int32_t>("onset", onset));
   config.seed = seed;
   CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset,
                             api::MakeScenario(config));
@@ -127,7 +141,8 @@ Status RunScore(int argc, const char* const* argv) {
 
   api::ScorerOptions options;
   options.significance.alpha = alpha;
-  options.window_span_months = static_cast<int32_t>(window);
+  CHURNLAB_ASSIGN_OR_RETURN(options.window_span_months,
+                            NarrowFlag<int32_t>("window", window));
   options.num_threads = static_cast<size_t>(threads);
   options.granularity = products ? api::Granularity::kProduct
                                  : api::Granularity::kSegment;
@@ -163,14 +178,15 @@ Status RunExplain(int argc, const char* const* argv) {
 
   api::ScorerOptions options;
   options.significance.alpha = alpha;
-  options.window_span_months = static_cast<int32_t>(window);
+  CHURNLAB_ASSIGN_OR_RETURN(options.window_span_months,
+                            NarrowFlag<int32_t>("window", window));
   options.explanation.top_k = static_cast<size_t>(top);
+  CHURNLAB_ASSIGN_OR_RETURN(const api::CustomerId customer_id,
+                            NarrowFlag<api::CustomerId>("customer", customer));
   CHURNLAB_ASSIGN_OR_RETURN(const api::ScorerHandle scorer,
                             api::ScorerHandle::Make(options));
-  CHURNLAB_ASSIGN_OR_RETURN(
-      const api::CustomerReport report,
-      scorer.AnalyzeCustomer(dataset,
-                             static_cast<api::CustomerId>(customer)));
+  CHURNLAB_ASSIGN_OR_RETURN(const api::CustomerReport report,
+                            scorer.AnalyzeCustomer(dataset, customer_id));
   std::printf("%s", report.ToString().c_str());
   return Status::OK();
 }
@@ -193,13 +209,16 @@ Status RunProfile(int argc, const char* const* argv) {
 
   api::ScorerOptions options;
   options.significance.alpha = alpha;
-  options.window_span_months = static_cast<int32_t>(window_span);
+  CHURNLAB_ASSIGN_OR_RETURN(options.window_span_months,
+                            NarrowFlag<int32_t>("window", window_span));
+  CHURNLAB_ASSIGN_OR_RETURN(const api::CustomerId customer_id,
+                            NarrowFlag<api::CustomerId>("customer", customer));
+  CHURNLAB_ASSIGN_OR_RETURN(const int32_t at,
+                            NarrowFlag<int32_t>("at", window));
   CHURNLAB_ASSIGN_OR_RETURN(const api::ScorerHandle scorer,
                             api::ScorerHandle::Make(options));
-  CHURNLAB_ASSIGN_OR_RETURN(
-      const api::SignificanceProfile profile,
-      scorer.ProfileCustomer(dataset, static_cast<api::CustomerId>(customer),
-                             static_cast<int32_t>(window)));
+  CHURNLAB_ASSIGN_OR_RETURN(const api::SignificanceProfile profile,
+                            scorer.ProfileCustomer(dataset, customer_id, at));
   std::printf("customer %u, window %d (months [%lld, %lld))\n",
               profile.customer, profile.window_index,
               static_cast<long long>(profile.window_index * window_span),
@@ -240,11 +259,15 @@ Status RunEvaluate(int argc, const char* const* argv) {
 
   api::Figure1Options options;
   options.stability.significance.alpha = alpha;
-  options.stability.window_span_months = static_cast<int32_t>(window);
+  CHURNLAB_ASSIGN_OR_RETURN(options.stability.window_span_months,
+                            NarrowFlag<int32_t>("window", window));
   options.stability.num_threads = static_cast<size_t>(threads);
-  options.rfm.features.window_span_months = static_cast<int32_t>(window);
-  options.first_report_month = static_cast<int32_t>(first_month);
-  options.last_report_month = static_cast<int32_t>(last_month);
+  options.rfm.features.window_span_months =
+      options.stability.window_span_months;
+  CHURNLAB_ASSIGN_OR_RETURN(options.first_report_month,
+                            NarrowFlag<int32_t>("first_month", first_month));
+  CHURNLAB_ASSIGN_OR_RETURN(options.last_report_month,
+                            NarrowFlag<int32_t>("last_month", last_month));
   CHURNLAB_ASSIGN_OR_RETURN(
       const api::EvalRunner runner,
       api::EvalRunner::Make({static_cast<size_t>(threads)}));
@@ -273,8 +296,10 @@ Status RunForecast(int argc, const char* const* argv) {
   CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset, LoadDataset(data));
 
   api::ForecastOptions options;
-  options.decision_month = static_cast<int32_t>(decision);
-  options.horizon_months = static_cast<int32_t>(horizon);
+  CHURNLAB_ASSIGN_OR_RETURN(options.decision_month,
+                            NarrowFlag<int32_t>("decision", decision));
+  CHURNLAB_ASSIGN_OR_RETURN(options.horizon_months,
+                            NarrowFlag<int32_t>("horizon", horizon));
   CHURNLAB_ASSIGN_OR_RETURN(const api::EvalRunner runner,
                             api::EvalRunner::Make());
   CHURNLAB_ASSIGN_OR_RETURN(const api::ForecastResult result,
@@ -312,7 +337,8 @@ Status RunGridSearch(int argc, const char* const* argv) {
   CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset, LoadDataset(data));
 
   api::GridSearchOptions options;
-  options.onset_month = static_cast<int32_t>(onset);
+  CHURNLAB_ASSIGN_OR_RETURN(options.onset_month,
+                            NarrowFlag<int32_t>("onset", onset));
   CHURNLAB_ASSIGN_OR_RETURN(
       const api::EvalRunner runner,
       api::EvalRunner::Make({static_cast<size_t>(threads)}));
