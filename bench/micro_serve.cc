@@ -134,6 +134,52 @@ void BM_ServeReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeReplay)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// The serve-replay apply loop at production scale: 20k datagen customers
+// (about 2M receipts over 28 months) replayed through one fleet per
+// iteration as the TransactionStore::DayOrdered gather stream in weekly
+// batches, as `churnlab serve-replay` does. Customer state here is far
+// past L2; the 200-customer sweeps above fit in cache and cannot see the
+// memory latency this one pays.
+void BM_FleetIngestDayOrdered(benchmark::State& state) {
+  static const retail::Dataset* dataset = [] {
+    datagen::PaperScenarioConfig config;
+    config.population.num_loyal = 10000;
+    config.population.num_defecting = 10000;
+    config.seed = 1;
+    auto result = datagen::MakePaperDataset(config);
+    result.status().Abort("day-ordered bench dataset");
+    return new retail::Dataset(std::move(result).ValueOrDie());
+  }();
+  const std::vector<const retail::Receipt*> replay =
+      dataset->store().DayOrdered();
+  constexpr retail::Day kBatchDays = 7;
+  for (auto _ : state) {
+    auto fleet_result =
+        serve::ScoringFleet::Make(BenchOptions(16), &dataset->taxonomy());
+    fleet_result.status().Abort("fleet");
+    serve::ScoringFleet& fleet = fleet_result.ValueOrDie();
+    size_t alerts = 0;
+    for (size_t begin = 0; begin < replay.size();) {
+      const retail::Day batch_end = replay[begin]->day + kBatchDays;
+      size_t end = begin;
+      while (end < replay.size() && replay[end]->day < batch_end) ++end;
+      auto report = fleet.IngestBatch(std::span<const retail::Receipt* const>(
+          replay.data() + begin, end - begin));
+      report.status().Abort("ingest");
+      if (!report->rejected.empty()) {
+        Status::Internal("day-ordered replay rejected a receipt")
+            .Abort("ingest");
+      }
+      alerts += report->alerts.size();
+      begin = end;
+    }
+    benchmark::DoNotOptimize(alerts);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(replay.size()));
+}
+BENCHMARK(BM_FleetIngestDayOrdered)->Unit(benchmark::kMillisecond);
+
 serve::ScoringFleet FedFleet() {
   auto fleet_result = serve::ScoringFleet::Make(
       BenchOptions(16), &BenchDataset().taxonomy());

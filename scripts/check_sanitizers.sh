@@ -23,13 +23,14 @@ TARGETS=(thread_pool_test significance_test significance_equivalence_test
          stability_test stability_model_test online_scorer_test
          explanation_test model_property_test
          grid_search_test bootstrap_test parallel_determinism_test
-         serve_test serve_determinism_test serve_memory_test arena_test
+         serve_test serve_determinism_test state_store_index_test
+         serve_memory_test arena_test robustness_test binary_io_test
          facade_test failpoint_test serve_fault_test snapshot_fuzz_test
          telemetry_concurrency_test flight_recorder_test
          http_parser_test net_json_test net_admission_test
          net_coalescer_test net_server_test)
 # gtest registers tests by suite name, so filter on those.
-TEST_FILTER='ThreadPool|ParallelFor|Significance|Stability|OnlineBatchEquivalence|ExplanationEngine|ModelProperties|GridSearch|Bootstrap|ParallelDeterminism|CustomerStateStore|ScoringFleet|FleetSnapshot|ServeDeterminism|ServeMemory|BlockArena|Facade|Failpoint|RetryPolicy|RetryWithBackoff|ServeFault|SnapshotFuzz|TelemetryConcurrency|FlightRecorder|Http|ParseReceiptBatch|AdmissionGate|Router|IngestCoalescer|WriteBatchReportJson|WriteCustomerJson|WriteHealthJson|WriteErrorJson|WriteSnapshotJson'
+TEST_FILTER='ThreadPool|ParallelFor|Significance|Stability|OnlineBatchEquivalence|ExplanationEngine|ModelProperties|GridSearch|Bootstrap|ParallelDeterminism|CustomerStateStore|CustomerIndex|ScoringFleet|FleetSnapshot|ServeDeterminism|ServeMemory|BlockArena|Facade|Failpoint|RetryPolicy|RetryWithBackoff|ServeFault|SnapshotFuzz|TelemetryConcurrency|FlightRecorder|Http|ParseReceiptBatch|AdmissionGate|Router|IngestCoalescer|WriteBatchReportJson|WriteCustomerJson|WriteHealthJson|WriteErrorJson|WriteSnapshotJson|Robustness|BinaryIo'
 
 for sanitizer in "${SANITIZERS[@]}"; do
   build_dir="build-${sanitizer}san"

@@ -1,7 +1,7 @@
 #include "common/binary_io.h"
 
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
@@ -96,44 +96,73 @@ Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
       FailpointRegistry::Global().Get("common.binary_io.open");
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  if (file.bad()) return Status::IOError("error while reading '" + path + "'");
-  std::string buffer = std::move(contents).str();
+  // file_size fails for anything but a regular file (a directory opens
+  // fine but has no meaningful size).
+  std::error_code error;
+  const uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) return Status::IOError("error while reading '" + path + "'");
+  std::string buffer(static_cast<size_t>(size), '\0');
+  file.read(buffer.data(), static_cast<std::streamsize>(size));
+  if (static_cast<uintmax_t>(file.gcount()) != size) {
+    return Status::IOError("error while reading '" + path + "'");
+  }
   if (open_failpoint->armed()) {
     CHURNLAB_RETURN_NOT_OK(open_failpoint->CorruptBytes(&buffer));
   }
   return BinaryReader(std::move(buffer));
 }
 
-Result<uint64_t> BinaryReader::ReadVarint() {
+uint64_t ByteCursor::ReadVarintSlow() {
+  if (!ok()) return 0;
   uint64_t value = 0;
   int shift = 0;
-  while (pos_ < buffer_.size()) {
-    const uint8_t byte = static_cast<uint8_t>(buffer_[pos_++]);
+  for (const uint8_t* p = pos_; p < end_; ++p) {
+    const uint8_t byte = *p;
     if (shift >= 64 || (shift == 63 && (byte & 0x7F) > 1)) {
-      return Status::OutOfRange("varint overflows 64 bits");
+      Fail(Status::OutOfRange("varint overflows 64 bits"));
+      return 0;
     }
     value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
+    if ((byte & 0x80) == 0) {
+      pos_ = p + 1;
+      return value;
+    }
     shift += 7;
   }
-  return Status::OutOfRange("truncated varint at end of buffer");
+  Fail(Status::OutOfRange("truncated varint at end of buffer"));
+  return 0;
+}
+
+void ByteCursor::Fail(Status status) {
+  if (ok()) status_ = std::move(status);
+  pos_ = end_;
+}
+
+namespace {
+
+/// One value through `read` of a cursor at the reader's position; the
+/// reader moves only when the read succeeded.
+template <typename T>
+Result<T> ReadOne(BinaryReader* reader, T (ByteCursor::*read)()) {
+  ByteCursor cursor = reader->Cursor();
+  const T value = (cursor.*read)();
+  if (!cursor.ok()) return cursor.status();
+  reader->Seek(cursor);
+  return value;
+}
+
+}  // namespace
+
+Result<uint64_t> BinaryReader::ReadVarint() {
+  return ReadOne(this, &ByteCursor::ReadVarint);
 }
 
 Result<int64_t> BinaryReader::ReadSignedVarint() {
-  CHURNLAB_ASSIGN_OR_RETURN(const uint64_t zigzag, ReadVarint());
-  return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+  return ReadOne(this, &ByteCursor::ReadSignedVarint);
 }
 
 Result<double> BinaryReader::ReadDouble() {
-  if (remaining() < 8) {
-    return Status::OutOfRange("truncated double at end of buffer");
-  }
-  double value;
-  std::memcpy(&value, buffer_.data() + pos_, 8);
-  pos_ += 8;
-  return value;
+  return ReadOne(this, &ByteCursor::ReadDouble);
 }
 
 Result<std::string> BinaryReader::ReadString() {

@@ -52,6 +52,68 @@ class BinaryWriter {
 /// detect torn or corrupted shard frames.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
+/// \brief Bounds-checked raw decoder over a byte range, for hot loops.
+///
+/// Reads the BinaryWriter encodings without a Result per value: the first
+/// truncated or overlong value latches its error (the same Status
+/// BinaryReader reports for it) and moves the cursor to the end, so every
+/// later read returns 0 and a loop can decode a whole record before it
+/// tests ok() once. No read ever looks past the end of the range.
+class ByteCursor {
+ public:
+  ByteCursor(const char* begin, const char* end)
+      : pos_(reinterpret_cast<const uint8_t*>(begin)),
+        end_(reinterpret_cast<const uint8_t*>(end)) {}
+
+  uint64_t ReadVarint() {
+    // Inline one- and two-byte values (ids, days, item deltas); the rest,
+    // and every bounds or overflow error, take the general loop.
+    if (end_ - pos_ >= 2) {
+      const uint64_t low = pos_[0];
+      if (low < 0x80) {
+        pos_ += 1;
+        return low;
+      }
+      const uint64_t high = pos_[1];
+      if (high < 0x80) {
+        pos_ += 2;
+        return (low & 0x7F) | (high << 7);
+      }
+    }
+    return ReadVarintSlow();
+  }
+  int64_t ReadSignedVarint() {
+    const uint64_t zigzag = ReadVarint();
+    return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+  }
+  double ReadDouble() {
+    double value = 0.0;
+    if (remaining() < sizeof(value)) {
+      Fail(Status::OutOfRange("truncated double at end of buffer"));
+      return value;
+    }
+    std::memcpy(&value, pos_, sizeof(value));
+    pos_ += sizeof(value);
+    return value;
+  }
+
+  bool ok() const { return status_.ok(); }
+  /// OK, or the first error met.
+  const Status& status() const { return status_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+  const char* position() const {
+    return reinterpret_cast<const char*>(pos_);
+  }
+
+ private:
+  uint64_t ReadVarintSlow();
+  void Fail(Status status);
+
+  const uint8_t* pos_;
+  const uint8_t* end_;
+  Status status_;
+};
+
 /// \brief Reader over a binary buffer produced by BinaryWriter.
 ///
 /// All reads are bounds-checked: fixed-width and varint reads return
@@ -62,8 +124,9 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string buffer) : buffer_(std::move(buffer)) {}
 
-  /// Loads the whole file at `path` into a reader. Failpoint site
-  /// `common.binary_io.open` (corrupt-bytes flips a bit of the loaded copy).
+  /// Loads the whole file at `path` into a reader with one sized read.
+  /// Failpoint site `common.binary_io.open` (corrupt-bytes flips a bit of
+  /// the loaded copy).
   static Result<BinaryReader> OpenFile(const std::string& path);
 
   Result<uint64_t> ReadVarint();
@@ -75,6 +138,17 @@ class BinaryReader {
   /// treated as untrusted: a prefix larger than the remaining buffer fails
   /// with InvalidArgument before any allocation is sized from it.
   Result<std::string> ReadBytes(size_t size);
+
+  /// A cursor over the unread bytes, for decoding many values at once;
+  /// hand it back to Seek to consume what it read.
+  ByteCursor Cursor() const {
+    return ByteCursor(buffer_.data() + pos_, buffer_.data() + buffer_.size());
+  }
+  /// Moves the read position to `cursor`'s, which must come from Cursor()
+  /// on this reader.
+  void Seek(const ByteCursor& cursor) {
+    pos_ = static_cast<size_t>(cursor.position() - buffer_.data());
+  }
 
   /// True when the whole buffer has been consumed.
   bool AtEnd() const { return pos_ >= buffer_.size(); }

@@ -82,7 +82,7 @@ struct SignificanceOptions {
 /// The math itself lives in the storage-agnostic kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct of
 /// plain vectors; the serving layer instantiates the same kernels over its
-/// compact SoA/arena store, which keeps the two bit-identical.
+/// slot-record/arena store, which keeps the two bit-identical.
 ///
 /// Not thread-safe — including const accessors, which lazily extend the
 /// memoised power tables. Use one tracker per thread.

@@ -27,8 +27,8 @@ namespace core {
 ///  - the core classes' member structs: each class's nested `State` struct
 ///    of plain members and std::vectors (one monitor per customer, as in
 ///    the batch model and the tests' per-customer oracles);
-///  - the serving layer's compact refs: views of one customer slot in a
-///    shard's SoA scalar columns plus arena-backed blocks
+///  - the serving layer's slot ref: a view of one customer's slot record
+///    (scalars plus handles of arena-backed blocks) in a shard
 ///    (serve/state_store.cc).
 ///
 /// Identical code paths is what makes the two byte-identical — in emitted

@@ -20,6 +20,9 @@ namespace {
 // Binary format magic + version. Bump the version on layout changes.
 constexpr uint64_t kBinaryMagic = 0x43484C4231ULL;  // "CHLB1"
 constexpr uint64_t kBinaryVersion = 1;
+/// Smallest encoded receipt: customer and day varints, the 8-byte spend,
+/// and the item-count varint.
+constexpr uint64_t kMinReceiptBytes = 1 + 1 + 8 + 1;
 
 void RecordDatasetLoaded(const Dataset& dataset, double seconds) {
   static obs::Counter* const datasets =
@@ -488,30 +491,37 @@ Result<Dataset> Dataset::LoadBinary(const std::string& path) {
   }
 
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t num_receipts, reader.ReadVarint());
+  // The count is untrusted: a receipt takes at least kMinReceiptBytes, so
+  // the reservation is capped by what the remaining bytes can hold.
+  dataset.store_.Reserve(static_cast<size_t>(
+      std::min<uint64_t>(num_receipts, reader.remaining() / kMinReceiptBytes)));
+  // One raw cursor for the whole receipt section: errors latch, so each
+  // receipt is checked once its fields are decoded.
+  ByteCursor cursor = reader.Cursor();
   for (uint64_t r = 0; r < num_receipts; ++r) {
     Receipt receipt;
-    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t customer, reader.ReadVarint());
-    receipt.customer = static_cast<CustomerId>(customer);
-    CHURNLAB_ASSIGN_OR_RETURN(const int64_t day, reader.ReadSignedVarint());
-    receipt.day = static_cast<Day>(day);
-    CHURNLAB_ASSIGN_OR_RETURN(receipt.spend, reader.ReadDouble());
-    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t item_count, reader.ReadVarint());
+    receipt.customer = static_cast<CustomerId>(cursor.ReadVarint());
+    receipt.day = static_cast<Day>(cursor.ReadSignedVarint());
+    receipt.spend = cursor.ReadDouble();
+    const uint64_t item_count = cursor.ReadVarint();
+    CHURNLAB_RETURN_NOT_OK(cursor.status());
     // Untrusted length prefix: each item takes at least one byte, so an
     // item count beyond the remaining bytes is corruption — reject before
     // reserving storage sized from it.
-    if (item_count > reader.remaining()) {
+    if (item_count > cursor.remaining()) {
       return Status::InvalidArgument(
           "receipt item count exceeds remaining dataset bytes");
     }
-    receipt.items.reserve(item_count);
+    receipt.items.resize(item_count);
     ItemId previous = 0;
-    for (uint64_t i = 0; i < item_count; ++i) {
-      CHURNLAB_ASSIGN_OR_RETURN(const uint64_t delta, reader.ReadVarint());
-      previous = static_cast<ItemId>(previous + delta);
-      receipt.items.push_back(previous);
+    for (ItemId& item : receipt.items) {
+      previous = static_cast<ItemId>(previous + cursor.ReadVarint());
+      item = previous;
     }
+    CHURNLAB_RETURN_NOT_OK(cursor.status());
     CHURNLAB_RETURN_NOT_OK(dataset.store_.Append(std::move(receipt)));
   }
+  reader.Seek(cursor);
 
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t num_labels, reader.ReadVarint());
   for (uint64_t i = 0; i < num_labels; ++i) {

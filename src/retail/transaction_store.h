@@ -45,6 +45,10 @@ class TransactionStore {
   /// or the day is negative.
   Status Append(Receipt receipt);
 
+  /// Sizes storage for `n` receipts in total, so that many Appends do not
+  /// reallocate. A hint only: it changes no content.
+  void Reserve(size_t n) { receipts_.reserve(n); }
+
   /// Stably sorts receipts by (customer, day) — skipped when they already
   /// are in that order, as a binary dataset is — and builds the customer
   /// index. Idempotent.

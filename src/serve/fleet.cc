@@ -1,11 +1,13 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <tuple>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "obs/fault_obs.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -68,6 +70,16 @@ bool AlertLess(const FleetAlert& a, const FleetAlert& b) {
 }
 
 constexpr size_t kUnsetCount = ~size_t{0};
+
+// Software-pipeline distances of IngestBatch's per-shard apply loop, in
+// receipts ahead of the one being applied. Each stage needs the line the
+// stage before fetched: the receipt header yields the customer id and the
+// items pointer, the index bucket yields the slot, the slot record yields
+// the current-window symbol block.
+constexpr ptrdiff_t kPrefetchHeaderAhead = 8;
+constexpr ptrdiff_t kPrefetchBucketAhead = 6;  // and the receipt's items
+constexpr ptrdiff_t kPrefetchSlotAhead = 4;
+constexpr ptrdiff_t kPrefetchSymbolsAhead = 2;
 
 /// Per-shard scratch for one fleet operation. Mutated only by the shard's
 /// own task; survives across retry attempts, so `progress` lets a retried
@@ -232,41 +244,68 @@ Result<BatchReport> ScoringFleet::IngestBatch(
     }
     obs::ScopedLatency shard_latency(shard_latency_[shard]);
     std::vector<core::Symbol> symbols;
-    // Processes the shard's receipts from out.progress on. A failpoint for
-    // a receipt fires before that receipt mutates any state, so a retried
-    // attempt resumes cleanly; quarantined receipts advance progress like
-    // ingested ones.
+    const std::vector<size_t>& indices = by_shard[shard];
+    // Applies one receipt. A failpoint for a receipt fires before that
+    // receipt mutates any state, so a retried attempt resumes cleanly;
+    // quarantined receipts count as processed like ingested ones.
+    const auto apply = [&](CustomerStateStore::ShardAccessor& access,
+                           size_t batch_index) -> Status {
+      const retail::Receipt& receipt = *receipts[batch_index];
+      if (receipt.customer == retail::kInvalidCustomer) {
+        out.rejected.push_back(RejectedReceipt{
+            receipt.customer, batch_index, receipt.day,
+            Status::InvalidArgument(
+                "batch receipt has an invalid customer id")});
+        return Status::OK();
+      }
+      CHURNLAB_FAILPOINT_KEYED("serve.ingest.receipt", receipt.customer);
+      MapSymbols(receipt, &symbols);
+      CustomerStateStore::CustomerRef state =
+          access.GetOrCreate(receipt.customer);
+      Result<std::vector<core::StabilityAlert>> closed =
+          state.Observe(receipt.day, symbols);
+      if (!closed.ok()) {
+        out.rejected.push_back(RejectedReceipt{
+            receipt.customer, batch_index, receipt.day, closed.status()});
+        return Status::OK();
+      }
+      for (core::StabilityAlert& alert : *closed) {
+        out.alerts.push_back(FleetAlert{receipt.customer, batch_index, alert});
+      }
+      ++out.receipts;
+      return Status::OK();
+    };
+    // Processes the shard's receipts from out.progress on, software-
+    // pipelined: while receipt i is applied, the state of receipts up to
+    // kPrefetchHeaderAhead positions later is pulled toward the cache one
+    // dependent level per stage (see the distances above). Iterations with
+    // i < out.progress only prime the pipeline, and no stage looks past
+    // the end of the shard's list.
     const auto process =
         [&](CustomerStateStore::ShardAccessor& access) -> Status {
-      const std::vector<size_t>& indices = by_shard[shard];
-      while (out.progress < indices.size()) {
-        const size_t batch_index = indices[out.progress];
-        const retail::Receipt& receipt = *receipts[batch_index];
-        if (receipt.customer == retail::kInvalidCustomer) {
-          out.rejected.push_back(RejectedReceipt{
-              receipt.customer, batch_index, receipt.day,
-              Status::InvalidArgument(
-                  "batch receipt has an invalid customer id")});
-          ++out.progress;
-          continue;
+      const auto first = static_cast<ptrdiff_t>(out.progress);
+      const auto end = static_cast<ptrdiff_t>(indices.size());
+      for (ptrdiff_t i = first - kPrefetchHeaderAhead; i < end; ++i) {
+        const auto ahead = [&](ptrdiff_t distance) -> const retail::Receipt* {
+          const ptrdiff_t j = i + distance;
+          return j >= first && j < end ? receipts[indices[j]] : nullptr;
+        };
+        if (const retail::Receipt* r = ahead(kPrefetchHeaderAhead)) {
+          PrefetchRange(r, sizeof(retail::Receipt));
         }
-        CHURNLAB_FAILPOINT_KEYED("serve.ingest.receipt", receipt.customer);
-        MapSymbols(receipt, &symbols);
-        CustomerStateStore::CustomerRef state =
-            access.GetOrCreate(receipt.customer);
-        Result<std::vector<core::StabilityAlert>> closed =
-            state.Observe(receipt.day, symbols);
-        if (!closed.ok()) {
-          out.rejected.push_back(RejectedReceipt{
-              receipt.customer, batch_index, receipt.day, closed.status()});
-          ++out.progress;
-          continue;
+        if (const retail::Receipt* r = ahead(kPrefetchBucketAhead)) {
+          PrefetchRange(r->items.data(),
+                        r->items.size() * sizeof(retail::ItemId));
+          access.PrefetchBucket(r->customer);
         }
-        for (core::StabilityAlert& alert : *closed) {
-          out.alerts.push_back(
-              FleetAlert{receipt.customer, batch_index, alert});
+        if (const retail::Receipt* r = ahead(kPrefetchSlotAhead)) {
+          access.PrefetchSlot(r->customer);
         }
-        ++out.receipts;
+        if (const retail::Receipt* r = ahead(kPrefetchSymbolsAhead)) {
+          access.PrefetchSymbols(r->customer);
+        }
+        if (i < first) continue;
+        CHURNLAB_RETURN_NOT_OK(apply(access, indices[i]));
         ++out.progress;
       }
       return Status::OK();

@@ -9,6 +9,7 @@
 #include "common/arena.h"
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/prefetch.h"
 #include "core/pow_cache.h"
 #include "core/state_kernel.h"
 
@@ -18,7 +19,7 @@ namespace serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SoA scalar columns + arena-backed variable-size blocks.
+// Slot records + arena-backed variable-size blocks.
 // ---------------------------------------------------------------------------
 
 /// One variable-size array carved from the shard arena. `size` is the
@@ -81,125 +82,65 @@ std::span<T> GrowBlock(BlockArena* arena, BlockHandle* h, size_t n) {
   return h->Span<T>();
 }
 
-/// Parallel scalar columns, one entry per customer slot.
-struct CompactColumns {
-  std::vector<retail::CustomerId> customer;
+/// One customer's state: every tracker, scorer and monitor scalar plus the
+/// handles of its five blocks, in one record, so a customer is one address
+/// (the fleet prefetches it ahead of use). Member initializers match those
+/// of the core classes' State structs.
+struct SlotState {
+  retail::CustomerId customer = retail::kInvalidCustomer;
   // Tracker scalars.
-  std::vector<int32_t> windows_seen;
-  std::vector<uint32_t> num_seen;
-  std::vector<double> incremental_total;
-  std::vector<double> ewma_total;
+  int32_t windows_seen = 0;
+  uint32_t num_seen = 0;
   // Scorer scalars.
-  std::vector<int32_t> current_window;
-  std::vector<retail::Day> last_observed_day;
+  int32_t current_window = 0;
+  retail::Day last_observed_day = -1;
   // Monitor debounce scalars.
-  std::vector<double> last_stability;
-  std::vector<uint8_t> has_previous;
-  std::vector<int32_t> low_streak;
-
-  size_t size() const { return customer.size(); }
-
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) {
-    fn(customer);
-    fn(windows_seen);
-    fn(num_seen);
-    fn(incremental_total);
-    fn(ewma_total);
-    fn(current_window);
-    fn(last_observed_day);
-    fn(last_stability);
-    fn(has_previous);
-    fn(low_streak);
-  }
-
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) const {
-    const_cast<CompactColumns*>(this)->ForEachColumn(
-        [&fn](auto& column) { fn(std::as_const(column)); });
-  }
-
-  void Reserve(size_t n) {
-    ForEachColumn([n](auto& column) { column.reserve(n); });
-  }
-
-  /// Freshly-constructed per-customer defaults, matching the member
-  /// initializers of the core classes' State structs.
-  void AppendDefault(retail::CustomerId id) {
-    customer.push_back(id);
-    windows_seen.push_back(0);
-    num_seen.push_back(0);
-    incremental_total.push_back(0.0);
-    ewma_total.push_back(0.0);
-    current_window.push_back(0);
-    last_observed_day.push_back(-1);
-    last_stability.push_back(1.0);
-    has_previous.push_back(0);
-    low_streak.push_back(0);
-  }
-
-  /// Truncates every column back to `n` entries. Exception-rollback path: a
-  /// push_back partway through AppendDefault leaves the columns uneven.
-  void Rollback(size_t n) {
-    ForEachColumn([n](auto& column) {
-      if (column.size() > n) column.resize(n);
-    });
-  }
-
-  size_t CapacityBytes() const {
-    size_t total = 0;
-    ForEachColumn([&total](const auto& column) {
-      total += column.capacity() * sizeof(column[0]);
-    });
-    return total;
-  }
+  int32_t low_streak = 0;
+  uint8_t has_previous = 0;
+  double incremental_total = 0.0;
+  double ewma_total = 0.0;
+  double last_stability = 1.0;
+  BlockSet blocks;
 };
+// 49 bytes of scalars padded to 56, plus five 16-byte block handles. Growth
+// here is growth of every customer's footprint.
+static_assert(sizeof(SlotState) == 136, "SlotState grew");
 
-/// Sum of one slot's scalar column entries, for per-customer accounting.
-constexpr size_t kCompactScalarBytesPerSlot =
-    sizeof(retail::CustomerId) + 3 * sizeof(int32_t) + sizeof(uint32_t) +
-    3 * sizeof(double) + sizeof(retail::Day) + sizeof(uint8_t);
-
-struct CompactStorage {
-  CompactColumns cols;
-  std::vector<BlockSet> blocks;
-  BlockArena arena;
-};
-
-// Lightweight views satisfying the state concepts of core/state_kernel.h
-// over CompactStorage. The kernels they instantiate are the very same that
-// run inside StabilityMonitor, which is what makes a stored customer
-// byte-identical to a StabilityMonitor fed the same stream by construction.
-
-class CompactTrackerRef {
+// One view satisfying all three state concepts of core/state_kernel.h (their
+// accessors do not overlap) over one SlotState. The kernels it instantiates
+// are the very same that run inside StabilityMonitor, which is what makes a
+// stored customer byte-identical to a StabilityMonitor fed the same stream
+// by construction.
+class SlotRef {
  public:
-  CompactTrackerRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
+  SlotRef(SlotState* slot, BlockArena* arena) : s_(slot), arena_(arena) {}
 
-  int32_t& WindowsSeen() { return s_->cols.windows_seen[slot_]; }
-  uint32_t& NumSeen() { return s_->cols.num_seen[slot_]; }
-  double& IncrementalTotal() { return s_->cols.incremental_total[slot_]; }
-  double& EwmaTotal() { return s_->cols.ewma_total[slot_]; }
+  // TrackerState.
+  int32_t& WindowsSeen() { return s_->windows_seen; }
+  uint32_t& NumSeen() { return s_->num_seen; }
+  double& IncrementalTotal() { return s_->incremental_total; }
+  double& EwmaTotal() { return s_->ewma_total; }
   std::span<int32_t> ContainCounts() {
-    return blocks().contain_counts.Span<int32_t>();
+    return s_->blocks.contain_counts.Span<int32_t>();
   }
   std::span<uint32_t> ContainHistogram() {
-    return blocks().contain_histogram.Span<uint32_t>();
+    return s_->blocks.contain_histogram.Span<uint32_t>();
   }
   std::span<double> EwmaValues() {
-    return blocks().ewma_values.Span<double>();
+    return s_->blocks.ewma_values.Span<double>();
   }
   std::span<int32_t> EwmaStamps() {
-    return blocks().ewma_stamps.Span<int32_t>();
+    return s_->blocks.ewma_stamps.Span<int32_t>();
   }
   std::span<int32_t> GrowContainCounts(size_t n) {
-    return GrowBlock<int32_t>(&s_->arena, &blocks().contain_counts, n);
+    return GrowBlock<int32_t>(arena_, &s_->blocks.contain_counts, n);
   }
   std::span<uint32_t> GrowContainHistogram(size_t n) {
-    return GrowBlock<uint32_t>(&s_->arena, &blocks().contain_histogram, n);
+    return GrowBlock<uint32_t>(arena_, &s_->blocks.contain_histogram, n);
   }
   void GrowEwma(size_t n) {
-    GrowBlock<double>(&s_->arena, &blocks().ewma_values, n);
-    GrowBlock<int32_t>(&s_->arena, &blocks().ewma_stamps, n);
+    GrowBlock<double>(arena_, &s_->blocks.ewma_values, n);
+    GrowBlock<int32_t>(arena_, &s_->blocks.ewma_stamps, n);
   }
   void ClearTracker() {
     WindowsSeen() = 0;
@@ -207,31 +148,21 @@ class CompactTrackerRef {
     IncrementalTotal() = 0.0;
     EwmaTotal() = 0.0;
     // Blocks keep their capacity (GrowBlock zero-fills on regrowth).
-    BlockSet& b = blocks();
+    BlockSet& b = s_->blocks;
     b.contain_counts.size = 0;
     b.contain_histogram.size = 0;
     b.ewma_values.size = 0;
     b.ewma_stamps.size = 0;
   }
 
- private:
-  BlockSet& blocks() { return s_->blocks[slot_]; }
-
-  CompactStorage* s_;
-  size_t slot_;
-};
-
-class CompactScorerRef {
- public:
-  CompactScorerRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
-
+  // ScorerState.
   std::span<const core::Symbol> CurrentSymbols() const {
-    return s_->blocks[slot_].current_symbols.Span<const core::Symbol>();
+    return s_->blocks.current_symbols.Span<const core::Symbol>();
   }
   void InsertCurrentSymbol(size_t pos, core::Symbol symbol) {
-    BlockHandle& h = s_->blocks[slot_].current_symbols;
+    BlockHandle& h = s_->blocks.current_symbols;
     const size_t old_size = h.size;
-    EnsureBlockCapacity<core::Symbol>(&s_->arena, &h, old_size + 1);
+    EnsureBlockCapacity<core::Symbol>(arena_, &h, old_size + 1);
     auto* data = static_cast<core::Symbol*>(h.data);
     std::memmove(data + pos + 1, data + pos,
                  (old_size - pos) * sizeof(core::Symbol));
@@ -239,47 +170,28 @@ class CompactScorerRef {
     h.size = static_cast<uint32_t>(old_size + 1);
   }
   void AppendCurrentSymbol(core::Symbol symbol) {
-    BlockHandle& h = s_->blocks[slot_].current_symbols;
-    EnsureBlockCapacity<core::Symbol>(&s_->arena, &h, size_t{h.size} + 1);
+    BlockHandle& h = s_->blocks.current_symbols;
+    EnsureBlockCapacity<core::Symbol>(arena_, &h, size_t{h.size} + 1);
     static_cast<core::Symbol*>(h.data)[h.size] = symbol;
     ++h.size;
   }
   void ReserveCurrentSymbols(size_t n) {
-    EnsureBlockCapacity<core::Symbol>(&s_->arena,
-                                      &s_->blocks[slot_].current_symbols, n);
+    EnsureBlockCapacity<core::Symbol>(arena_, &s_->blocks.current_symbols,
+                                      n);
   }
-  void ClearCurrentSymbols() { s_->blocks[slot_].current_symbols.size = 0; }
-  int32_t& CurrentWindow() { return s_->cols.current_window[slot_]; }
-  retail::Day& LastObservedDay() {
-    return s_->cols.last_observed_day[slot_];
-  }
+  void ClearCurrentSymbols() { s_->blocks.current_symbols.size = 0; }
+  int32_t& CurrentWindow() { return s_->current_window; }
+  retail::Day& LastObservedDay() { return s_->last_observed_day; }
+
+  // MonitorState.
+  double& LastStability() { return s_->last_stability; }
+  uint8_t& HasPrevious() { return s_->has_previous; }
+  int32_t& LowStreak() { return s_->low_streak; }
 
  private:
-  CompactStorage* s_;
-  size_t slot_;
+  SlotState* s_;
+  BlockArena* arena_;
 };
-
-class CompactMonitorRef {
- public:
-  CompactMonitorRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
-
-  double& LastStability() { return s_->cols.last_stability[slot_]; }
-  uint8_t& HasPrevious() { return s_->cols.has_previous[slot_]; }
-  int32_t& LowStreak() { return s_->cols.low_streak[slot_]; }
-
- private:
-  CompactStorage* s_;
-  size_t slot_;
-};
-
-/// Estimated footprint of the id -> slot index (nodes + bucket array).
-size_t IndexMemoryUsage(
-    const std::unordered_map<retail::CustomerId, uint32_t>& index) {
-  return index.bucket_count() * sizeof(void*) +
-         index.size() *
-             (sizeof(std::pair<const retail::CustomerId, uint32_t>) +
-              2 * sizeof(void*));
-}
 
 }  // namespace
 
@@ -291,10 +203,14 @@ struct Shard {
              options.scorer.significance.max_abs_exponent,
              options.scorer.significance.ewma_lambda) {}
 
+  SlotRef Ref(size_t slot) { return SlotRef(&slots[slot], &arena); }
+
   mutable std::mutex mutex;
-  std::unordered_map<retail::CustomerId, uint32_t> index;
-  /// SoA columns + arena blocks, one slot per customer in creation order.
-  CompactStorage compact;
+  CustomerIndex index;
+  /// One record per customer, in creation order.
+  std::vector<SlotState> slots;
+  /// Backs every slot's blocks.
+  BlockArena arena;
   /// Interned power tables shared by every customer in the shard. Guarded
   /// by `mutex` like the rest.
   core::PowCache pows;
@@ -332,14 +248,14 @@ std::mutex& CustomerStateStore::ShardMutex(size_t shard) const {
 
 size_t CustomerStateStore::ShardCustomers(size_t shard) const {
   std::lock_guard<std::mutex> lock(shards_[shard]->mutex);
-  return shards_[shard]->compact.cols.size();
+  return shards_[shard]->slots.size();
 }
 
 size_t CustomerStateStore::NumCustomers() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->compact.cols.size();
+    total += shard->slots.size();
   }
   return total;
 }
@@ -349,46 +265,40 @@ size_t CustomerStateStore::NumCustomers() const {
 // --------------------------------------------------------------------------
 
 retail::CustomerId CustomerStateStore::CustomerRef::customer() const {
-  return shard_->compact.cols.customer[slot_];
+  return shard_->slots[slot_].customer;
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Observe(
     retail::Day day, const std::vector<core::Symbol>& symbols) {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
+  SlotRef ref = shard_->Ref(slot_);
   return core::kernel::MonitorObserve(
-      ts, ss, ms, store_->options_.scorer, store_->options_.policy,
+      ref, ref, ref, store_->options_.scorer, store_->options_.policy,
       shard_->pows, day, std::span<const core::Symbol>(symbols));
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::AdvanceTo(retail::Day day) {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
-  return core::kernel::MonitorAdvanceTo(ts, ss, ms, store_->options_.scorer,
+  SlotRef ref = shard_->Ref(slot_);
+  return core::kernel::MonitorAdvanceTo(ref, ref, ref,
+                                        store_->options_.scorer,
                                         store_->options_.policy,
                                         shard_->pows, day);
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Finish() {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
-  return core::kernel::MonitorFinish(ts, ss, ms, store_->options_.scorer,
+  SlotRef ref = shard_->Ref(slot_);
+  return core::kernel::MonitorFinish(ref, ref, ref, store_->options_.scorer,
                                      store_->options_.policy, shard_->pows);
 }
 
 double CustomerStateStore::CustomerRef::last_stability() const {
-  return shard_->compact.cols.last_stability[slot_];
+  return shard_->slots[slot_].last_stability;
 }
 
 size_t CustomerStateStore::CustomerRef::MemoryUsage() const {
-  return kCompactScalarBytesPerSlot + sizeof(BlockSet) +
-         shard_->compact.blocks[slot_].CapacityBytes();
+  return sizeof(SlotState) + shard_->slots[slot_].blocks.CapacityBytes();
 }
 
 // --------------------------------------------------------------------------
@@ -398,17 +308,17 @@ size_t CustomerStateStore::CustomerRef::MemoryUsage() const {
 CustomerStateStore::CustomerRef
 CustomerStateStore::ShardAccessor::GetOrCreate(retail::CustomerId customer) {
   Shard& shard = *store_->shards_[shard_index_];
-  const auto it = shard.index.find(customer);
-  if (it != shard.index.end()) {
-    return CustomerRef(store_, &shard, it->second);
+  const uint32_t found = shard.index.Find(customer);
+  if (found != CustomerIndex::kNoSlot) {
+    return CustomerRef(store_, &shard, found);
   }
   // First touch. Storage is appended first and the index entry published
-  // last, with full rollback if any step throws (column push_back, block
-  // table growth, index rehash), so the shard never ends up with an index
-  // entry pointing at a slot that was never built.
+  // last, with full rollback if any step throws (slot growth, index
+  // growth), so the shard never ends up with an index entry pointing at a
+  // slot that was never built.
   static Failpoint* const create_failpoint =
       FailpointRegistry::Global().Get("serve.state.create");
-  const size_t slot = shard.compact.cols.size();
+  const size_t slot = shard.slots.size();
   try {
     if (create_failpoint->armed()) {
       // Creation has no Status channel, so the *error* action surfaces as
@@ -417,13 +327,11 @@ CustomerStateStore::ShardAccessor::GetOrCreate(retail::CustomerId customer) {
         throw FailpointException("serve.state.create");
       }
     }
-    shard.compact.cols.AppendDefault(customer);
-    shard.compact.blocks.emplace_back();
-    shard.index.emplace(customer, static_cast<uint32_t>(slot));
+    shard.slots.emplace_back().customer = customer;
+    shard.index.Insert(customer, static_cast<uint32_t>(slot));
   } catch (...) {
-    shard.compact.cols.Rollback(slot);
-    if (shard.compact.blocks.size() > slot) shard.compact.blocks.pop_back();
-    shard.index.erase(customer);
+    if (shard.slots.size() > slot) shard.slots.pop_back();
+    shard.index.Erase(customer);
     throw;
   }
   return CustomerRef(store_, &shard, slot);
@@ -432,26 +340,52 @@ CustomerStateStore::ShardAccessor::GetOrCreate(retail::CustomerId customer) {
 Result<CustomerStateStore::CustomerRef>
 CustomerStateStore::ShardAccessor::Find(retail::CustomerId customer) {
   Shard& shard = *store_->shards_[shard_index_];
-  const auto it = shard.index.find(customer);
-  if (it == shard.index.end()) {
+  const uint32_t slot = shard.index.Find(customer);
+  if (slot == CustomerIndex::kNoSlot) {
     return Status::NotFound("customer " + std::to_string(customer) +
                             " is not held by the fleet");
   }
-  return CustomerRef(store_, &shard, it->second);
+  return CustomerRef(store_, &shard, slot);
 }
 
 size_t CustomerStateStore::ShardAccessor::size() const {
-  return store_->shards_[shard_index_]->compact.cols.size();
+  return store_->shards_[shard_index_]->slots.size();
 }
 
 retail::CustomerId CustomerStateStore::ShardAccessor::CustomerAt(
     size_t slot) const {
-  return store_->shards_[shard_index_]->compact.cols.customer[slot];
+  return store_->shards_[shard_index_]->slots[slot].customer;
 }
 
 CustomerStateStore::CustomerRef CustomerStateStore::ShardAccessor::At(
     size_t slot) {
   return CustomerRef(store_, store_->shards_[shard_index_].get(), slot);
+}
+
+void CustomerStateStore::ShardAccessor::PrefetchBucket(
+    retail::CustomerId customer) const {
+  const void* bucket =
+      store_->shards_[shard_index_]->index.BucketAddress(customer);
+  if (bucket != nullptr) __builtin_prefetch(bucket);
+}
+
+void CustomerStateStore::ShardAccessor::PrefetchSlot(
+    retail::CustomerId customer) const {
+  const Shard& shard = *store_->shards_[shard_index_];
+  const uint32_t slot = shard.index.Find(customer);
+  if (slot != CustomerIndex::kNoSlot) {
+    PrefetchRange(&shard.slots[slot], sizeof(SlotState));
+  }
+}
+
+void CustomerStateStore::ShardAccessor::PrefetchSymbols(
+    retail::CustomerId customer) const {
+  const Shard& shard = *store_->shards_[shard_index_];
+  const uint32_t slot = shard.index.Find(customer);
+  if (slot != CustomerIndex::kNoSlot) {
+    const BlockHandle& symbols = shard.slots[slot].blocks.current_symbols;
+    PrefetchRange(symbols.data, size_t{symbols.size} * sizeof(core::Symbol));
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -462,13 +396,11 @@ void CustomerStateStore::SaveShardState(size_t shard,
                                         BinaryWriter* writer) const {
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> lock(s.mutex);
-  writer->WriteVarint(s.compact.cols.size());
-  for (size_t slot = 0; slot < s.compact.cols.size(); ++slot) {
-    writer->WriteVarint(s.compact.cols.customer[slot]);
-    CompactTrackerRef ts(&s.compact, slot);
-    CompactScorerRef ss(&s.compact, slot);
-    CompactMonitorRef ms(&s.compact, slot);
-    core::kernel::MonitorSaveState(ts, ss, ms, writer);
+  writer->WriteVarint(s.slots.size());
+  for (size_t slot = 0; slot < s.slots.size(); ++slot) {
+    writer->WriteVarint(s.slots[slot].customer);
+    SlotRef ref = s.Ref(slot);
+    core::kernel::MonitorSaveState(ref, ref, ref, writer);
   }
 }
 
@@ -479,8 +411,9 @@ Status CustomerStateStore::LoadShardState(size_t shard,
   // All-or-nothing: parse into scratch storage and swap it in only once the
   // whole frame decoded, so a corrupt record cannot leave the shard
   // half-replaced.
-  std::unordered_map<retail::CustomerId, uint32_t> index;
-  CompactStorage compact;
+  CustomerIndex index;
+  std::vector<SlotState> slots;
+  BlockArena arena;
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t count, reader->ReadVarint());
   // The count is an untrusted length prefix: every customer needs at least
   // one byte of payload, so a count beyond the remaining bytes is
@@ -491,9 +424,8 @@ Status CustomerStateStore::LoadShardState(size_t shard,
         ") exceeds remaining snapshot bytes (" +
         std::to_string(reader->remaining()) + ")");
   }
-  index.reserve(count);
-  compact.cols.Reserve(count);
-  compact.blocks.reserve(count);
+  index.Reserve(count);
+  slots.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     CHURNLAB_ASSIGN_OR_RETURN(const uint64_t id, reader->ReadVarint());
     if (id >= retail::kInvalidCustomer) {
@@ -505,19 +437,18 @@ Status CustomerStateStore::LoadShardState(size_t shard,
           "snapshot customer hashed to a different shard; the snapshot was "
           "written with a different shard count or is corrupted");
     }
-    if (!index.try_emplace(customer, static_cast<uint32_t>(i)).second) {
+    if (index.Find(customer) != CustomerIndex::kNoSlot) {
       return Status::IOError("snapshot shard repeats a customer id");
     }
-    compact.cols.AppendDefault(customer);
-    compact.blocks.emplace_back();
-    CompactTrackerRef ts(&compact, i);
-    CompactScorerRef ss(&compact, i);
-    CompactMonitorRef ms(&compact, i);
+    index.Insert(customer, static_cast<uint32_t>(i));
+    slots.emplace_back().customer = customer;
+    SlotRef ref(&slots.back(), &arena);
     CHURNLAB_RETURN_NOT_OK(core::kernel::MonitorLoadState(
-        ts, ss, ms, options_.policy, reader));
+        ref, ref, ref, options_.policy, reader));
   }
   s.index = std::move(index);
-  s.compact = std::move(compact);
+  s.slots = std::move(slots);
+  s.arena = std::move(arena);
   return Status::OK();
 }
 
@@ -525,12 +456,11 @@ StateMemoryStats CustomerStateStore::ShardMemoryUsage(size_t shard) const {
   const Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> lock(s.mutex);
   StateMemoryStats stats;
-  stats.index_bytes = IndexMemoryUsage(s.index);
-  stats.customers = s.compact.cols.size();
-  stats.scalar_bytes = s.compact.cols.CapacityBytes() +
-                       s.compact.blocks.capacity() * sizeof(BlockSet);
-  stats.block_bytes = s.compact.arena.bytes_in_use();
-  stats.arena_reserved_bytes = s.compact.arena.bytes_reserved();
+  stats.index_bytes = s.index.MemoryBytes();
+  stats.customers = s.slots.size();
+  stats.scalar_bytes = s.slots.capacity() * sizeof(SlotState);
+  stats.block_bytes = s.arena.bytes_in_use();
+  stats.arena_reserved_bytes = s.arena.bytes_reserved();
   stats.shared_bytes = s.pows.MemoryUsage();
   stats.total_bytes =
       stats.scalar_bytes + stats.index_bytes + stats.shared_bytes +

@@ -4,36 +4,25 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/result.h"
 #include "core/monitor.h"
 #include "retail/types.h"
+#include "serve/customer_index.h"
 
 namespace churnlab {
 namespace serve {
 
-/// Stable 64-bit mix (the murmur3 finalizer). Used instead of std::hash so
-/// shard assignment — and therefore snapshot layout and alert grouping — is
-/// identical across runs, standard libraries, and platforms.
-inline uint64_t StableHash(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 struct Shard;
 
-/// The in-memory representation of per-customer state. There is one:
-/// structure-of-arrays scalar columns plus arena-backed blocks for the
-/// variable-size per-symbol counters, with one shared power-table cache per
-/// shard. Only FleetOptions::layout still names it; nothing reads that
-/// field, and both go away together with their last caller.
+/// The in-memory representation of per-customer state. There is one: a
+/// slot record per customer (every scalar plus handles to arena-backed
+/// blocks for the variable-size per-symbol counters), found through a flat
+/// id -> slot index, with one shared power-table cache per shard. Only
+/// FleetOptions::layout still names it; nothing reads that field, and both
+/// go away together with their last caller.
 enum class StateLayout : uint8_t {
   kCompact = 0,
 };
@@ -42,7 +31,7 @@ struct StateStoreOptions {
   core::OnlineStabilityScorer::Options scorer;
   core::MonitorPolicy policy;
   /// Number of independent shards (>= 1). Each shard has its own mutex and
-  /// dense customer slab; customers are assigned by
+  /// dense slot vector; customers are assigned by
   /// StableHash(customer_id) % num_shards.
   size_t num_shards = 16;
 };
@@ -52,15 +41,15 @@ struct StateStoreOptions {
 /// logical sizes.
 struct StateMemoryStats {
   size_t customers = 0;
-  /// Fixed-size per-customer storage: SoA column capacity, block-handle
-  /// table included.
+  /// Fixed-size per-customer storage: slot-record vector capacity (block
+  /// handles included).
   size_t scalar_bytes = 0;
   /// Live variable-size storage: arena blocks in use.
   size_t block_bytes = 0;
   /// Arena chunk bytes held from the OS (>= block_bytes; the difference is
   /// freelist + bump slack).
   size_t arena_reserved_bytes = 0;
-  /// Estimated id -> slot hash index footprint.
+  /// Exact bytes of the flat id -> slot index tables.
   size_t index_bytes = 0;
   /// Per-shard shared tables (the interned power caches).
   size_t shared_bytes = 0;
@@ -83,10 +72,11 @@ struct StateMemoryStats {
 /// \brief Sharded owner of per-customer streaming state.
 ///
 /// Each customer is one logical StabilityMonitor (an OnlineStabilityScorer
-/// plus alerting policy), physically stored as one slot of its shard's SoA
-/// columns and arena blocks, and run through the kernels of
-/// core/state_kernel.h. Customers live in `num_shards` shards, each with
-/// one mutex, an id -> slot index, and slot storage in creation order. The
+/// plus alerting policy), physically stored as one slot record of its
+/// shard (scalars plus handles to arena blocks), and run through the
+/// kernels of core/state_kernel.h. Customers live in `num_shards` shards,
+/// each with one mutex, a flat id -> slot index (CustomerIndex), and slot
+/// records in creation order. The
 /// ScoringFleet partitions batches by shard and processes each shard
 /// sequentially under its lock, so two receipts of one customer can never
 /// race.
@@ -173,6 +163,16 @@ class CustomerStateStore {
     retail::CustomerId CustomerAt(size_t slot) const;
     /// Handle to the state at `slot` (creation order, slot < size()).
     CustomerRef At(size_t slot);
+
+    /// Prefetch hints for a software-pipelined apply loop (see
+    /// ScoringFleet::IngestBatch). Each pulls one more level of
+    /// `customer`'s state toward the cache and changes nothing: the index
+    /// bucket needs only the id; the slot record needs the bucket (it
+    /// probes the index); the current-window symbol block needs the slot
+    /// record. Customers not yet created are skipped.
+    void PrefetchBucket(retail::CustomerId customer) const;
+    void PrefetchSlot(retail::CustomerId customer) const;
+    void PrefetchSymbols(retail::CustomerId customer) const;
 
    private:
     friend class CustomerStateStore;

@@ -319,6 +319,47 @@ TEST(HttpServerTest, IngestThenQueryCustomer) {
   EXPECT_EQ(bad_id.status, 400) << bad_id.body;
 }
 
+TEST(HttpServerTest, CreationRollbackKeepsEveryCustomerQueryable) {
+  // The first touch of customer 1000 throws once: its creation is rolled
+  // back and the retried shard task creates it. Every customer created
+  // before the rollback — some in the same shard — still answers GET
+  // /v1/customers/{id}.
+  FailpointRegistry::Global().DisarmAll();
+  TestServer server;
+  std::vector<Receipt> first;
+  std::vector<CustomerId> customers;
+  for (CustomerId id = 1; id <= 64; ++id) {
+    first.push_back(MakeReceipt(id, 1, {1, 2}));
+    customers.push_back(id);
+  }
+  ASSERT_EQ(Call(server.port(), "POST", "/v1/ingest", IngestBody(first))
+                .status,
+            200);
+
+  const CustomerId victim = 1000;
+  FailpointConfig config;
+  config.action = FailpointAction::kThrow;
+  config.has_key = true;
+  config.key = victim;
+  config.limit = 1;
+  FailpointRegistry::Global().Get("serve.state.create")->Arm(config);
+  const HttpReply ingest = Call(server.port(), "POST", "/v1/ingest",
+                                IngestBody({MakeReceipt(victim, 2, {3})}));
+  FailpointRegistry::Global().Get("serve.state.create")->Disarm();
+  ASSERT_TRUE(ingest.transport_ok);
+  EXPECT_EQ(ingest.status, 200) << ingest.body;
+  EXPECT_EQ(JsonUint(ingest.body, "receipts_ingested"), 1u);
+
+  customers.push_back(victim);
+  for (const CustomerId id : customers) {
+    const HttpReply reply = Call(server.port(), "GET",
+                                 "/v1/customers/" + std::to_string(id));
+    ASSERT_TRUE(reply.transport_ok);
+    EXPECT_EQ(reply.status, 200) << id << ": " << reply.body;
+    EXPECT_EQ(JsonUint(reply.body, "customer"), id);
+  }
+}
+
 TEST(HttpServerTest, RoutingErrorsOnTheWire) {
   TestServer server;
   EXPECT_EQ(Call(server.port(), "GET", "/nope").status, 404);

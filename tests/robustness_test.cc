@@ -2,6 +2,7 @@
 // produce clean Status errors (or benign parses), never crashes, hangs or
 // silent corruption.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -153,6 +154,48 @@ TEST(Robustness, DatasetLoadBinarySurvivesBitFlips) {
   }
   std::remove(path.c_str());
   std::remove(flipped_path.c_str());
+}
+
+TEST(Robustness, DatasetLoadBinaryRejectsAnOverstatedReceiptCount) {
+  // An empty dataset's file ends with two zero varints: the receipt count
+  // and the label count. Replace them with a huge receipt count and one
+  // complete receipt. The loader must fail on the missing second receipt
+  // without sizing anything from the count: a 2^60 reservation would throw
+  // (it exceeds any vector's max_size), a 2^40 one would ask for ~44 TB.
+  retail::Dataset empty;
+  empty.Finalize();
+  const std::string path = testing::TempDir() + "/churnlab_huge_count.clb";
+  ASSERT_TRUE(empty.SaveBinary(path).ok());
+  std::string header;
+  {
+    std::FILE* file = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(file, nullptr);
+    char buffer[256];
+    const size_t read = std::fread(buffer, 1, sizeof(buffer), file);
+    std::fclose(file);
+    ASSERT_GE(read, 2u);
+    ASSERT_EQ(buffer[read - 1], 0);
+    ASSERT_EQ(buffer[read - 2], 0);
+    header.assign(buffer, read - 2);
+  }
+  for (const uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 60}) {
+    BinaryWriter writer;
+    writer.WriteBytes(header.data(), header.size());
+    writer.WriteVarint(claimed);
+    writer.WriteVarint(7);          // customer
+    writer.WriteSignedVarint(3);    // day
+    writer.WriteDouble(1.5);        // spend
+    writer.WriteVarint(2);          // item count
+    writer.WriteVarint(4);          // item 4
+    writer.WriteVarint(1);          // item 5
+    ASSERT_TRUE(writer.SaveToFile(path).ok());
+    Result<retail::Dataset> loaded = Status::Internal("not run");
+    ASSERT_NO_THROW(loaded = retail::Dataset::LoadBinary(path)) << claimed;
+    ASSERT_FALSE(loaded.ok()) << claimed;
+    EXPECT_TRUE(loaded.status().IsOutOfRange())
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Robustness, LoadCsvWithBrokenRowsFails) {

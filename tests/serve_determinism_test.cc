@@ -12,6 +12,9 @@
 //      a compact storage layout, never different math).
 //   5. A gather-view batch (pointers to receipts stored anywhere) ingests
 //      exactly like the same batch stored contiguously.
+//   6. Batch size never changes alerts or snapshots, in particular for
+//      per-shard receipt lists shorter than, as long as and longer than
+//      the prefetch distances of IngestBatch's pipelined apply loop.
 
 #include <algorithm>
 #include <cstdio>
@@ -323,6 +326,19 @@ std::string MonitorShardFrame(const std::vector<CustomerId>& slots,
   return writer.buffer();
 }
 
+// The symbol set the fleet observes for `receipt`: its mapped items,
+// sorted and deduplicated.
+std::vector<core::Symbol> SymbolsOf(const core::SymbolMapper& mapper,
+                                    const Receipt& receipt) {
+  std::vector<core::Symbol> symbols;
+  for (const retail::ItemId item : receipt.items) {
+    symbols.push_back(mapper.Map(item));
+  }
+  std::sort(symbols.begin(), symbols.end());
+  symbols.erase(std::unique(symbols.begin(), symbols.end()), symbols.end());
+  return symbols;
+}
+
 std::string SavedState(const core::StabilityMonitor& monitor) {
   BinaryWriter writer;
   monitor.SaveState(&writer);
@@ -392,14 +408,7 @@ TEST(ServeDeterminism, FleetMatchesPerCustomerMonitorReplay) {
                                          &dataset.taxonomy())
                     .ValueOrDie();
   const auto symbols_of = [&mapper](const Receipt& receipt) {
-    std::vector<core::Symbol> symbols;
-    for (const retail::ItemId item : receipt.items) {
-      symbols.push_back(mapper.Map(item));
-    }
-    std::sort(symbols.begin(), symbols.end());
-    symbols.erase(std::unique(symbols.begin(), symbols.end()),
-                  symbols.end());
-    return symbols;
+    return SymbolsOf(mapper, receipt);
   };
   // Receipts before the split day come first in each (day-sorted) history.
   const auto early_count = [&](CustomerId customer) {
@@ -500,6 +509,88 @@ TEST(ServeDeterminism, FleetMatchesPerCustomerMonitorReplay) {
   EXPECT_FALSE(resumed_alerts.empty());
   EXPECT_EQ(Keys(resumed_alerts), Keys(fleet_late_alerts));
   EXPECT_EQ(Keys(resumed_alerts), Keys(reference_late_alerts));
+}
+
+// The end-of-stream shard frames of the independent reference: one raw
+// StabilityMonitor per customer, fed its whole history and finished, laid
+// out as SaveShardState would (slots in order of first appearance in the
+// stream).
+std::vector<std::string> MonitorEndFrames(const FleetOptions& options) {
+  const retail::Dataset& dataset = TestDataset();
+  auto mapper = core::SymbolMapper::Make(options.granularity,
+                                         &dataset.taxonomy())
+                    .ValueOrDie();
+  std::map<CustomerId, std::string> end_state;
+  for (const CustomerId customer : dataset.store().Customers()) {
+    auto monitor =
+        core::StabilityMonitor::Make(options.scorer, options.policy)
+            .ValueOrDie();
+    for (const Receipt& receipt : dataset.store().History(customer)) {
+      EXPECT_TRUE(
+          monitor.Observe(receipt.day, SymbolsOf(mapper, receipt)).ok());
+    }
+    EXPECT_TRUE(monitor.Finish().ok());
+    end_state[customer] = SavedState(monitor);
+  }
+  std::vector<std::vector<CustomerId>> slots(options.num_shards);
+  std::set<CustomerId> seen;
+  for (const Receipt& receipt : ReplayStream()) {
+    if (seen.insert(receipt.customer).second) {
+      slots[StableHash(receipt.customer) % options.num_shards].push_back(
+          receipt.customer);
+    }
+  }
+  std::vector<std::string> frames;
+  for (const std::vector<CustomerId>& shard_slots : slots) {
+    frames.push_back(MonitorShardFrame(shard_slots, end_state));
+  }
+  return frames;
+}
+
+TEST(ServeDeterminism, BatchSizesAroundThePrefetchDistances) {
+  // With one shard a batch of N receipts is one per-shard list of N, so
+  // batches of 1..40 receipts cover lists shorter than, equal to and longer
+  // than every stage of the pipelined apply loop; four shards split them
+  // into shorter lists still. Every batching must reproduce the one-batch
+  // replay's alerts (batch_index rebased to the stream) and snapshot, and
+  // the independent monitors' shard frames.
+  const std::vector<Receipt>& stream = ReplayStream();
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    const FleetOptions options = TestOptions(/*num_threads=*/1, shards);
+    const auto replay = [&](size_t batch_size) {
+      auto fleet =
+          ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
+      std::vector<FleetAlert> alerts;
+      for (size_t begin = 0; begin < stream.size(); begin += batch_size) {
+        const size_t size = std::min(batch_size, stream.size() - begin);
+        const BatchReport report =
+            fleet
+                .IngestBatch(
+                    std::span<const Receipt>(stream.data() + begin, size))
+                .ValueOrDie();
+        EXPECT_TRUE(report.rejected.empty());
+        for (FleetAlert alert : report.alerts) {
+          alert.batch_index += begin;
+          alerts.push_back(alert);
+        }
+      }
+      const BatchReport tail = fleet.FinishAll().ValueOrDie();
+      alerts.insert(alerts.end(), tail.alerts.begin(), tail.alerts.end());
+      return std::make_pair(FormatAlerts(alerts), SnapshotOf(fleet));
+    };
+    const auto [one_batch_alerts, one_batch_snapshot] = replay(stream.size());
+    EXPECT_FALSE(one_batch_alerts.empty());
+    EXPECT_EQ(ShardFrames(one_batch_snapshot, options),
+              MonitorEndFrames(options))
+        << shards << " shards";
+    for (size_t batch_size = 1; batch_size <= 40; ++batch_size) {
+      const auto [alerts, snapshot] = replay(batch_size);
+      EXPECT_EQ(alerts, one_batch_alerts)
+          << shards << " shards, batches of " << batch_size;
+      EXPECT_EQ(snapshot, one_batch_snapshot)
+          << shards << " shards, batches of " << batch_size;
+    }
+  }
 }
 
 }  // namespace

@@ -147,12 +147,17 @@ TEST(CustomerStateStore, GetOrCreateSurvivesThrowingCreation) {
   auto store = CustomerStateStore::Make(SmallStoreOptions()).ValueOrDie();
   const CustomerId victim = 7;
   const size_t shard = store.ShardOf(victim);
-  CustomerId neighbour = victim + 1;
-  while (store.ShardOf(neighbour) != shard) ++neighbour;
-  store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-    auto state = access.GetOrCreate(neighbour);
-    return state.Observe(5, {1}).ok() ? 0 : 1;
-  });
+  // Enough neighbours that the shard's index has grown a few times.
+  std::vector<CustomerId> neighbours;
+  for (CustomerId id = victim + 1; neighbours.size() < 40; ++id) {
+    if (store.ShardOf(id) == shard) neighbours.push_back(id);
+  }
+  for (const CustomerId neighbour : neighbours) {
+    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+      auto state = access.GetOrCreate(neighbour);
+      return state.Observe(5, {1}).ok() ? 0 : 1;
+    });
+  }
 
   FailpointConfig config;
   config.action = FailpointAction::kThrow;
@@ -168,16 +173,25 @@ TEST(CustomerStateStore, GetOrCreateSurvivesThrowingCreation) {
       FailpointException);
   FailpointRegistry::Global().Get("serve.state.create")->Disarm();
 
-  // The failed creation left no trace: the neighbour is intact and the
-  // victim can be created cleanly afterwards.
-  EXPECT_EQ(store.NumCustomers(), 1u);
+  // The failed creation left no trace: every neighbour is still found in
+  // its slot, the victim is not, and it can be created cleanly afterwards.
+  EXPECT_EQ(store.NumCustomers(), neighbours.size());
   store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-    EXPECT_EQ(access.size(), 1u);
-    EXPECT_EQ(access.CustomerAt(0), neighbour);
+    EXPECT_EQ(access.size(), neighbours.size());
+    for (size_t slot = 0; slot < neighbours.size(); ++slot) {
+      EXPECT_EQ(access.CustomerAt(slot), neighbours[slot]);
+      Result<CustomerStateStore::CustomerRef> found =
+          access.Find(neighbours[slot]);
+      EXPECT_TRUE(found.ok()) << neighbours[slot];
+      if (found.ok()) {
+        EXPECT_EQ(found->customer(), neighbours[slot]);
+      }
+    }
+    EXPECT_TRUE(access.Find(victim).status().IsNotFound());
     auto state = access.GetOrCreate(victim);
     return state.Observe(6, {1, 2}).ok() ? 0 : 1;
   });
-  EXPECT_EQ(store.NumCustomers(), 2u);
+  EXPECT_EQ(store.NumCustomers(), neighbours.size() + 1);
 }
 
 TEST(CustomerStateStore, LoadShardStateIsAllOrNothing) {
